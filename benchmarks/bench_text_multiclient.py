@@ -1,4 +1,4 @@
-"""Simulation-core scaling benchmark: N clients, three rebalancers, shards.
+"""Simulation-core scaling benchmark: N clients, two rebalancers, shards.
 
 The multi-client harness is where the O(flows × links) full recompute stops
 being affordable: every flow arrival/departure/pause re-rates *every* flow
@@ -7,11 +7,9 @@ quadratically with client count.  The incremental rebalancer bounds each
 trigger to the affected link/flow component, coalesces same-instant
 triggers, epsilon-gates event rescheduling, vectorizes large water-filling
 passes — and, in the window-capped steady state this workload lives in,
-skips the flush entirely (``fast_rated``).  The batched rebalancer layers
-the array-dispatch flush on top (bit-identical event stream to
-incremental, checked by ``repro.analysis determinism``).
+skips the flush entirely (``fast_rated``).
 
-The three regimes — **scaling** (fleet-size ladder × three arms),
+The three regimes — **scaling** (fleet-size ladder × two arms),
 **contended** (a thin 40 Mb/s WAN with big windows, lighting up the
 flush/coalesce/vectorize machinery) and **sharded** (the fleet partitioned
 into independent depot groups) — are declared as points of the builtin
@@ -22,12 +20,12 @@ and asserts on the merged ``BENCH_scale.json``:
 * the arms are *equivalent*: same per-client access counts (allocation
   equality to 1e-9 is covered by ``tests/lon/test_network_properties.py``,
   bit-equality of event streams by the determinism suite);
-* incremental and batched are never slower than full recompute, and at
-  the largest N of a full-scale run incremental is >= 3x faster;
-* the contended regime exercises the vectorized, coalesced, and batched
-  flush paths (all counters > 0);
-* the sharded curve reaches 100k events/s — or, on hosts too slow for
-  the absolute bar, >= 3x the single-shard throughput — at >= 4 shards.
+* incremental is never slower than full recompute, and at the largest N
+  of a full-scale run it is >= 3x faster;
+* the contended regime exercises the vectorized and coalesced flush
+  paths (both counters > 0);
+* the sharded curve is a measured run: its makespan is the elapsed time
+  of the (sequential) shard loops and its CPU time never exceeds that.
 
 Deterministic counters live in the payload; host timings live under
 ``wall_clock`` (CI guards the throughput keys against >25% regressions).
@@ -60,7 +58,7 @@ def test_multiclient_scaling(report):
     cross = {str(r["cross_fraction"]): r for r in result.rows
              if r["regime"] == "cross_shard"}
     client_counts = doc["client_counts"]
-    arms = ("incremental", "batched", "full")
+    arms = ("incremental", "full")
     n_max = client_counts[-1]
     by_key = {(r["n_clients"], r["rebalance"]): r for r in scaling}
     wall_runs = wall["runs"]
@@ -122,7 +120,7 @@ def test_multiclient_scaling(report):
                 f"{r.get('boundary_max_oversubscription', 0.0):>8.3f}"
             )
         lines.append("")
-    lines.append(f"Sharded fleet ({n_max} clients, batched arm, "
+    lines.append(f"Sharded fleet ({n_max} clients, incremental arm, "
                  "sequential workers):")
     lines.append(f"{'S':>4} {'events':>9} {'makespan s':>11} {'cpu s':>8} "
                  f"{'events/s':>10} {'ev/s-core':>10}")
@@ -139,37 +137,26 @@ def test_multiclient_scaling(report):
     # --- assertions -------------------------------------------------------
     for n in client_counts:
         inc = by_key[(n, "incremental")]
-        bat = by_key[(n, "batched")]
         full = by_key[(n, "full")]
-        # equivalence: all three arms deliver every access for every client
-        assert inc["accesses"] == bat["accesses"] == full["accesses"]
-        assert inc["per_client_accesses"] == bat["per_client_accesses"] \
-            == full["per_client_accesses"]
-        # the incremental arms actually ran incrementally: no whole-network
+        # equivalence: both arms deliver every access for every client
+        assert inc["accesses"] == full["accesses"]
+        assert inc["per_client_accesses"] == full["per_client_accesses"]
+        # the incremental arm actually ran incrementally: no whole-network
         # recomputes, every trigger either flushed a dirty component or was
         # absorbed outright by the quiet-link fast path
-        for arm_row in (inc, bat):
-            assert arm_row["full_recomputes"] == 0
-            assert arm_row["recomputes"] + arm_row["fast_rated"] > 0
-        # the batched arm really dispatched through the array flush
-        assert bat["batched_flushes"] == bat["recomputes"]
+        assert inc["full_recomputes"] == 0
+        assert inc["recomputes"] + inc["fast_rated"] > 0
         assert full["recomputes"] == 0
         assert full["full_recomputes"] > 0
 
     # contended regime proves the optimized paths are live, not dead code
-    for arm in ("incremental", "batched"):
-        st = contended[arm]
-        assert st["vectorized"] > 0, f"{arm}: vectorized water-fill is dead"
-        assert st["coalesced"] > 0, f"{arm}: trigger coalescing is dead"
-        # the admission plan formed real batches (satellite: the
-        # vectorized submission path is live in the contended regime)
-        assert st["admission_batches_flushed"] > 0, (
-            f"{arm}: admission batching is dead")
-        assert st["admission_submissions_coalesced"] > 0
-    assert contended["batched"]["batched_flushes"] > 0
-    assert contended["batched"]["batch_flows"] > 0
-    assert (contended["incremental"]["per_client_accesses"]
-            == contended["batched"]["per_client_accesses"])
+    st = contended["incremental"]
+    assert st["vectorized"] > 0, "vectorized water-fill is dead"
+    assert st["coalesced"] > 0, "trigger coalescing is dead"
+    # the admission plan formed real batches (the vectorized submission
+    # path is live in the contended regime)
+    assert st["admission_batches_flushed"] > 0, "admission batching is dead"
+    assert st["admission_submissions_coalesced"] > 0
 
     # admission batching A/B under the full recompute: same deliveries,
     # same event stream size, and the off arm really ran scalar
@@ -191,7 +178,8 @@ def test_multiclient_scaling(report):
     # crossing fractions exchanged boundary loads at the barrier
     if cross:
         for frac, row in cross.items():
-            assert row["accesses"] == by_key[(n_max, "batched")]["accesses"]
+            assert row["accesses"] == by_key[(n_max, "incremental")][
+                "accesses"]
             if float(frac) > 0.0:
                 assert row.get("boundary_windows", 0) > 0, (
                     f"{frac}: boundary exchange never ran")
@@ -199,36 +187,27 @@ def test_multiclient_scaling(report):
             else:
                 assert "boundary_windows" not in row
 
-    # sharding preserves the workload (every access delivered) ...
+    # sharding preserves the workload (every access delivered), and the
+    # sequential shard loops are measured, not modelled: the CPU time
+    # cannot exceed the elapsed time of the loops on every core
     for row in sharded:
-        assert row["accesses"] == by_key[(n_max, "batched")]["accesses"]
+        assert row["accesses"] == by_key[(n_max, "incremental")]["accesses"]
+        w = wall["sharded"][str(row["n_shards"])]
+        assert w["cpu_s"] <= w["makespan_s"] * (os.cpu_count() or 1), w
 
-    # perf: incremental/batched must never lose to the full recompute
-    # (10% + 50 ms noise allowance at the tiny end where both are
-    # sub-second)
+    # perf: incremental must never lose to the full recompute (10% + 50 ms
+    # noise allowance at the tiny end where both are sub-second)
     for n in client_counts:
         full_wall = wall_runs[f"{n}/full"]["wall_s"]
-        for arm in ("incremental", "batched"):
-            w = wall_runs[f"{n}/{arm}"]["wall_s"]
-            assert w <= full_wall * 1.10 + 0.05, (
-                f"{arm} slower than full at N={n}: "
-                f"{w:.4f}s vs {full_wall:.4f}s"
-            )
+        w = wall_runs[f"{n}/incremental"]["wall_s"]
+        assert w <= full_wall * 1.10 + 0.05, (
+            f"incremental slower than full at N={n}: "
+            f"{w:.4f}s vs {full_wall:.4f}s"
+        )
     if not _SMALL:
         assert wall["speedup_at_max"] >= 3.0, (
             f"incremental speedup at N={n_max} is "
             f"{wall['speedup_at_max']:.2f}x, expected >= 3x"
-        )
-        # ... and scales throughput: at >= 4 shards the fleet clears 100k
-        # events/s, or on hosts too slow for the absolute bar, >= 3x the
-        # single-shard rate
-        shard_eps = wall["sharded"]
-        base_eps = shard_eps["1"]["events_per_second"]
-        best_eps = max(v["events_per_second"]
-                       for s, v in shard_eps.items() if int(s) >= 4)
-        assert best_eps >= 100_000 or best_eps >= 3.0 * base_eps, (
-            f"sharded throughput peaked at {best_eps:.0f} events/s "
-            f"(single-shard {base_eps:.0f}); expected >= 100k or >= 3x"
         )
 
 
@@ -250,7 +229,7 @@ def _profile_main(argv=None):
                         help="rows of the cumulative-time table to print")
     parser.add_argument("--clients", type=int, default=counts[-1])
     parser.add_argument("--rebalance", default="incremental",
-                        choices=["incremental", "batched", "full"])
+                        choices=["incremental", "full"])
     parser.add_argument("--regime", default="scaling",
                         choices=["scaling", "contended"])
     parser.add_argument("--admission", default="on", choices=["on", "off"],

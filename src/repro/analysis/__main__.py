@@ -48,9 +48,6 @@ def _determinism_main(argv: List[str]) -> int:
     parser.add_argument("--shards", type=int, default=2,
                         help="shard count for the sharded-vs-single-process "
                              "equivalence check (0 skips it)")
-    parser.add_argument("--skip-modes", action="store_true",
-                        help="skip the batched-vs-incremental equivalence "
-                             "check")
     args = parser.parse_args(argv)
 
     reports = []
@@ -72,23 +69,6 @@ def _determinism_main(argv: List[str]) -> int:
             ),
             runs=args.runs,
         ))
-        if not args.skip_modes:
-            # cross-mode equivalence: the batched array flush must emit
-            # the exact event stream the incremental path does
-            reports.append(compare_fingerprints(
-                multiclient_fingerprint(
-                    seed=args.seed,
-                    n_clients=args.clients,
-                    resolution=args.resolution,
-                    rebalance="incremental",
-                ),
-                multiclient_fingerprint(
-                    seed=args.seed,
-                    n_clients=args.clients,
-                    resolution=args.resolution,
-                    rebalance="batched",
-                ),
-            ))
         if args.shards > 0:
             # parallel-execution equivalence: worker processes must merge
             # to the stream the sequential shard loop produces

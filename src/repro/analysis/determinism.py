@@ -278,8 +278,8 @@ def compare_fingerprints(
 
     Where :func:`check_determinism` proves one scenario replays
     identically, this proves two scenarios that *should* be equivalent —
-    batched vs incremental rebalancing, sharded vs single-process —
-    actually produce the same event stream, transfer log and breakdown.
+    sharded vs single-process — actually produce the same event stream,
+    transfer log and breakdown.
     """
     div = _first_divergence(a, b)
     label = f"{a.label} == {b.label}"
@@ -304,8 +304,7 @@ def multiclient_fingerprint(
     The N-client regime is where the hazards live: shared-scheduler
     rebalances, cross-client dedup and staggered starts all multiply the
     same-timestamp ties that set-iteration order could silently break.
-    ``rebalance`` selects the network re-rating mode, so cross-mode
-    equivalence (batched vs incremental) is a fingerprint comparison.
+    ``rebalance`` selects the network re-rating mode.
     """
     from ..lightfield.lattice import CameraLattice
     from ..lightfield.source import SyntheticSource

@@ -516,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="per-client start delay in seconds")
     mc.add_argument("--lattice", default="12x24x3")
     mc.add_argument("--rebalance", default="incremental",
-                    choices=["incremental", "batched", "full"],
+                    choices=["incremental", "full"],
                     help="network re-rating strategy")
     mc.add_argument("--shards", type=int, default=1,
                     help="partition the fleet into N independent shards "

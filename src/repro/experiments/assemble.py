@@ -164,8 +164,8 @@ def assemble_observability(
 # BENCH_scale.json
 # ----------------------------------------------------------------------
 _CONTENDED_KEYS = ("accesses", "events_fired", "recomputes", "vectorized",
-                   "coalesced", "batched_flushes", "batch_flows",
-                   "full_recomputes", "admission_batches_flushed",
+                   "coalesced", "full_recomputes",
+                   "admission_batches_flushed",
                    "admission_submissions_coalesced",
                    "admission_scalar_fallbacks")
 
@@ -212,7 +212,7 @@ def assemble_scale(
 
     def _contended_key(r: Row) -> str:
         # the full-recompute rows carry the admission A/B; incremental
-        # and batched keep their historical single-arm keys
+        # keeps its historical single-arm key
         if str(r["rebalance"]) == "full":
             return f"full/{r.get('admission', 'on')}"
         return str(r["rebalance"])

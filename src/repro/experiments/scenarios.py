@@ -502,8 +502,6 @@ def multiclient_point(
         "full_recomputes": reb["full_recomputes"],
         "coalesced": reb["coalesced"],
         "vectorized": reb["vectorized"],
-        "batched_flushes": reb["batched_flushes"],
-        "batch_flows": reb["batch_flows"],
         "fast_rated": reb["fast_rated"],
         "all_capped": reb["all_capped"],
         "queue_compactions": agg["queue_compactions"],

@@ -272,12 +272,11 @@ def _scale_points() -> List[Dict[str, object]]:
     contended = 8 if small else 64
     points: List[Dict[str, object]] = []
     for n in client_counts:
-        for arm in ("incremental", "batched", "full"):
+        for arm in ("incremental", "full"):
             points.append({"regime": "scaling", "n_clients": n,
                            "rebalance": arm})
-    for arm in ("incremental", "batched"):
-        points.append({"regime": "contended", "n_clients": contended,
-                       "rebalance": arm})
+    points.append({"regime": "contended", "n_clients": contended,
+                   "rebalance": "incremental"})
     # admission-batching A/B: full-recompute rebalancing is where the
     # scalar path pays one synchronous recompute per submission, so the
     # coalesced batch flush is measured there (on vs off)
@@ -287,7 +286,7 @@ def _scale_points() -> List[Dict[str, object]]:
     for s in shard_counts:
         points.append({
             "regime": "sharded", "n_clients": client_counts[-1],
-            "rebalance": "batched", "n_shards": s,
+            "rebalance": "incremental", "n_shards": s,
             SCENARIO_KEY: f"{_S}.sharded_point",
         })
     # cross-shard traffic axis: same fleet at max shards, 0/10/30% of
@@ -295,7 +294,7 @@ def _scale_points() -> List[Dict[str, object]]:
     for frac in (0.0, 0.1, 0.3):
         points.append({
             "regime": "cross_shard", "n_clients": client_counts[-1],
-            "rebalance": "batched", "n_shards": shard_counts[-1],
+            "rebalance": "incremental", "n_shards": shard_counts[-1],
             "cross_fraction": frac,
             SCENARIO_KEY: f"{_S}.sharded_point",
         })

@@ -256,6 +256,8 @@ class DownloadJob:
             self._inflight += 1
             m = bf.mapping
             try:
+                # an unreachable replica (NoRouteError) fails over too
+                rpc = self.lors.network.rpc_delay(self.dest, m.depot)
                 depot = self.lors.lbone.lookup(m.depot)
                 data = depot.load(m.read_cap, 0, m.extent.length)
             except (IBPError, Exception) as exc:  # noqa: BLE001 - failover
@@ -264,7 +266,6 @@ class DownloadJob:
                 if self._failed or self._cancelled:
                     return
                 continue
-            rpc = self.lors.network.rpc_delay(self.dest, m.depot)
             bucket = groups.get(rpc)
             if bucket is None:
                 groups[rpc] = bucket = []
@@ -284,14 +285,15 @@ class DownloadJob:
         self._inflight += 1
         m = bf.mapping
         try:
+            # request round-trip then bulk flow back to the destination;
+            # an unreachable replica (NoRouteError) fails over too
+            rpc = self.lors.network.rpc_delay(self.dest, m.depot)
             depot = self.lors.lbone.lookup(m.depot)
             data = depot.load(m.read_cap, 0, m.extent.length)
         except (IBPError, Exception) as exc:  # noqa: BLE001 - failover path
             self._inflight -= 1
             self._failover(bf, exc)
             return
-        # request round-trip then bulk flow back to the destination
-        rpc = self.lors.network.rpc_delay(self.dest, m.depot)
         blocks = [(bf, data)]
         self.lors.queue.schedule_in(
             rpc, lambda: self._begin_flows(blocks), "lors-dl-rpc"

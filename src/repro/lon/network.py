@@ -18,42 +18,48 @@ the paper's evaluation depends on:
 * **pause/resume**: a flow can be taken out of bandwidth contention without
   losing its progress (strict-preemption scheduling) and resumed later;
 * **dynamic re-rating**: whenever a flow starts, finishes, pauses, resumes or
-  changes weight, affected flow rates are recomputed and completion events
-  rescheduled.
+  changes weight, affected flow rates are recomputed and completion times
+  re-armed.
 
 Routing is shortest-path by latency over a :mod:`networkx` graph.  Transfers
 deliver their completion callback after ``path propagation latency +
 serialization time at the allocated rate``.
 
-Three rebalancing modes govern how re-rating scales (``rebalance=``):
+Two rebalancing modes govern how re-rating scales (``rebalance=``):
 
 * ``"incremental"`` (default) — per-link flow membership is tracked; a
   change marks its links dirty, triggers at the same timestamp coalesce
   into one recompute (a flush event), water-filling runs only over the
   connected component of links/flows reachable from the dirty set, large
-  components take a vectorized numpy path, and completion events are
-  rescheduled only for flows whose rate moved beyond ``rate_epsilon``.
-  Rates and completion events are authoritative once :meth:`Network.flush`
-  has run — which happens automatically before any event at a later
-  timestamp fires; synchronous callers inspecting ``Flow.rate`` right
-  after a change should call ``flush()`` first.
-* ``"batched"`` — incremental's trigger/coalescing machinery with an
-  array-based flush: every dirty component triggered at one timestamp is
-  gathered into one stacked flow set, drain detection / settling /
-  epsilon gating / completion-ETA computation all run as contiguous
-  numpy array operations, and only flows that genuinely need a new
-  completion event touch python objects.  The per-flow arithmetic is
-  written to be bit-identical to the incremental path (same expressions,
-  same evaluation order), so a batched run fingerprints identically to
-  an incremental run under ``repro.analysis determinism``.
+  components take a vectorized numpy path, and the flush settles flows,
+  gates rate changes by ``rate_epsilon`` and computes completion times as
+  array operations over the component.  Rates and completion times are
+  authoritative once :meth:`Network.flush` has run — which happens
+  automatically before any event at a later timestamp fires; synchronous
+  callers inspecting ``Flow.rate`` right after a change should call
+  ``flush()`` first.
 * ``"full"`` — every change synchronously recomputes all flows and
-  reschedules every completion event (O(flows × links) per change); kept
-  as the reference implementation and the benchmark baseline.
+  re-arms every completion time (O(flows × links) per change); kept as
+  the reference implementation.
+
+Both modes complete flows through one **completion timer**.  Each admitted
+flow owns a slot in arrays holding its completion time (ETA) and an *arm
+sequence number*; arming a flow reserves that number from the event queue
+(:meth:`EventQueue.reserve_seq`) exactly where a per-flow completion event
+would have been scheduled.  The only queue event is the timer, placed at
+the lexicographic minimum ``(eta, seq)`` over the armed flows and labelled
+``flow:<label>`` after the flow it points at, so the fired event stream is
+the one per-flow events would produce, while heap traffic scales with
+completions rather than re-ratings.  Firing drains that one flow and
+re-aims the timer; a flush re-arms its component as array writes and
+moves the timer at most once.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -86,7 +92,7 @@ __all__ = [
 ]
 
 #: accepted values for ``Network(rebalance=...)``
-REBALANCE_MODES = ("incremental", "batched", "full")
+REBALANCE_MODES = ("incremental", "full")
 
 
 def mbps(x: float) -> float:
@@ -133,6 +139,14 @@ class Link:
         return frozenset((self.a, self.b))
 
 
+_SLOT = operator.attrgetter("slot")
+_ROWS = operator.attrgetter("link_row_ids")
+_REMAINING = operator.attrgetter("remaining")
+_RATE = operator.attrgetter("rate")
+_LAST_UPDATE = operator.attrgetter("last_update")
+_DRAINED_AT = operator.attrgetter("drained_at")
+_ON_RATE_CHANGE = operator.attrgetter("on_rate_change")
+
 @dataclass(eq=False)
 class Flow:
     """An in-progress bulk transfer along a fixed path.
@@ -167,7 +181,11 @@ class Flow:
     finish_time: Optional[float] = field(default=None, init=False)
     prop_latency: float = field(default=0.0, init=False)
     drained_at: Optional[float] = field(default=None, init=False)
+    #: pending delivery (or same-node copy) event; the drain itself is
+    #: armed on the network's completion timer, not in the queue
     _completion_event: Optional[Event] = field(default=None, init=False)
+    #: row of the network's per-slot arrays while admitted, else -1
+    slot: int = field(default=-1, init=False)
     done: bool = field(default=False, init=False)
     failed: bool = field(default=False, init=False)
     paused: bool = field(default=False, init=False)
@@ -177,14 +195,8 @@ class Flow:
     on_rate_change: Optional[Callable[["Flow", float], None]] = field(
         default=None, init=False
     )
-    #: cached numpy row indices of path_links in the network's global link
-    #: table (filled lazily by the vectorized water-fill; never changes
-    #: because a flow's path and the link table rows are both immutable)
-    link_rows: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False
-    )
-    #: same rows as a plain int tuple, used by the membership/BFS
-    #: bookkeeping where int hashing beats frozenset hashing
+    #: path_links as rows of the network's global link table, used by the
+    #: membership/BFS bookkeeping where int hashing beats frozenset hashing
     link_row_ids: Optional[Tuple[int, ...]] = field(
         default=None, init=False, repr=False
     )
@@ -213,35 +225,25 @@ class RebalanceStats:
     coalesced: int = 0           # triggers absorbed into a pending flush
     component_flows: int = 0     # flows water-filled by incremental passes
     flows_rerated: int = 0       # flows whose allocated rate changed
-    events_rescheduled: int = 0  # completion events cancelled + reissued
+    events_rescheduled: int = 0  # completion times (re-)armed
     vectorized: int = 0          # recomputes that took the numpy path
     all_capped: int = 0          # recomputes resolved by the window-cap
                                  # fast path (no water-filling rounds)
     fast_rated: int = 0          # triggers absorbed without any flush: the
                                  # flow's links all had cap-sum headroom
-    batched_flushes: int = 0     # flushes that took the array-dispatch path
-    batch_flows: int = 0         # flows settled/gated through array ops
 
 
 class AdmissionPlan:
     """Vectorized same-timestamp admission over one batch of transfers.
 
     Built by :meth:`Network.admission_plan` from the ``(src, dst, size)``
-    triples of one scheduler batch.  Path resolution, TCP-window initial
-    rate seeding, completion ETAs and the interleaved quiet-link verdicts
-    are all precomputed as numpy array operations; :meth:`admit` then
-    commits flows one at a time, in submission order, producing exactly
-    the event schedule the scalar :meth:`Network.transfer` path would
-    have (the fingerprint suite holds this line).
-
-    The per-item quiet verdicts are exact, not heuristic: during a batch
-    of pure admissions with finite rate caps, a row's cap-sum load only
-    grows, so "the first item index at which each row goes over" fully
-    determines every interleaved scalar ``_quiet`` answer.  If a planned
-    item is skipped at commit time (a token tripped or a dedup key
-    appeared mid-batch), :meth:`skip` degrades the plan: verdicts for the
-    remaining items are re-read live from the row state, which the
-    authoritative per-item ``_admit`` accounting keeps exact either way.
+    triples of one scheduler batch.  Path resolution and TCP-window
+    initial rate seeding are resolved once per ``(src, dst)`` pair;
+    :meth:`admit` then commits flows one at a time, in submission order,
+    reading each quiet-link verdict from the row state ``_admit`` keeps,
+    so it produces exactly the event schedule the scalar
+    :meth:`Network.transfer` path would have (the fingerprint suite holds
+    this line).
 
     Under ``full`` rebalance mode there is no quiet fast path (every
     scalar ``transfer`` pokes a synchronous :meth:`Network._rebalance_full`),
@@ -260,8 +262,8 @@ class AdmissionPlan:
 
     __slots__ = (
         "net", "items", "vector_ok", "degraded",
-        "_links", "_props", "_caps", "_etas",
-        "_row_ids", "_row_arrs", "_quiet_flags",
+        "_links", "_props", "_caps",
+        "_row_ids",
         "_full", "_full_pokes",
     )
 
@@ -274,26 +276,21 @@ class AdmissionPlan:
         self._links: List[Tuple[FrozenSet[str], ...]] = []
         self._props: List[float] = []
         self._caps: List[float] = []
-        self._etas: List[float] = []
         self._row_ids: List[Tuple[int, ...]] = []
-        self._row_arrs: List[np.ndarray] = []
-        self._quiet_flags: Optional[np.ndarray] = None
         self._full = False
         self._full_pokes = 0
 
     def skip(self) -> None:
-        """Note that a planned item admitted nothing.
-
-        The precomputed quiet verdicts for the remaining items assumed it
-        present, so the rest of the batch re-reads live row state.
-        """
+        """Note that a planned item admitted nothing (a token tripped or
+        a dedup key appeared mid-batch): under full rebalance the rest of
+        the batch then recomputes immediately, like scalar admission."""
         self.degraded = True
 
     def finish(self) -> None:
         """Flush the one coalesced recompute a full-mode batch deferred.
 
-        No-op outside full rebalance mode (the incremental/batched flush
-        event already coalesces same-timestamp pokes) and for plans that
+        No-op outside full rebalance mode (the incremental flush event
+        already coalesces same-timestamp pokes) and for plans that
         admitted nothing.  The deferred pokes land as a single
         :meth:`Network._rebalance_full`, replacing the scalar path's
         one-recompute-per-submission cascade with bit-equal final rates.
@@ -327,8 +324,7 @@ class AdmissionPlan:
         flow.prop_latency = self._props[j]
         flow.rate_cap = self._caps[j]
         flow.link_row_ids = self._row_ids[j]
-        flow.link_rows = self._row_arrs[j]
-        net._flows[flow.fid] = flow
+        net._register(flow)
         net._admit(flow)
         if self._full:
             # scalar transfer would _poke -> synchronous _rebalance_full
@@ -342,24 +338,8 @@ class AdmissionPlan:
             else:
                 self._full_pokes += 1
             return flow
-        if self.degraded:
-            quiet = net._quiet(flow)
-        else:
-            flags = self._quiet_flags
-            assert flags is not None  # set whenever vector_ok
-            quiet = bool(flags[j])
-        if quiet:
-            flow.rate = flow.rate_cap
-            net.stats.flows_rerated += 1
-            net.stats.fast_rated += 1
-            # scalar _reschedule with the precomputed ETA: a brand-new
-            # flow has no event to cancel and a finite positive rate
-            flow._completion_event = net.queue.schedule(
-                self._etas[j],
-                lambda fl=flow: net._drain_check(fl),
-                f"flow:{label}",
-            )
-            net.stats.events_rescheduled += 1
+        if net._quiet(flow):
+            net._pin_at_cap(flow, now)
         else:
             net._poke(self._row_ids[j])
         return flow
@@ -421,13 +401,12 @@ class Network:
             Tuple[str, str], Tuple[Tuple[FrozenSet[str], ...], float]
         ] = {}
         # admission-plan per-pair cache: (path links, propagation latency,
-        # TCP-window rate cap, link row ids, row-id ndarray).  Everything
-        # here is route- and window-derived (never load-derived), so it
-        # invalidates exactly with the path cache.
+        # TCP-window rate cap, link row ids).  Everything here is route-
+        # and window-derived (never load-derived), so it invalidates
+        # exactly with the path cache.
         self._plan_cache: Dict[
             Tuple[str, str],
-            Tuple[Tuple[FrozenSet[str], ...], float, float,
-                  Tuple[int, ...], np.ndarray],
+            Tuple[Tuple[FrozenSet[str], ...], float, float, Tuple[int, ...]],
         ] = {}
         # incremental-rebalance state: link row -> ids of *contending*
         # flows (admitted, not paused, not drained), the dirty row seeds,
@@ -453,6 +432,26 @@ class Network:
         self._row_capload: List[float] = []
         self._row_unc: List[int] = []
         self._row_over: List[bool] = []
+        # completion timer: per-slot ETA and arm seq of every admitted flow
+        # (inf / -1: not armed); slots recycle when flows leave.
+        # ``_cands`` heaps (eta, seq, slot) candidates, stale ones dropped
+        # when they surface (None: rebuild from the arrays after a flush
+        # re-armed in bulk); ``_timer`` is the one queue event.
+        self._slot_flow: List[Optional[Flow]] = []
+        self._free_slots: List[int] = []
+        self._eta = np.full(16, np.inf)
+        self._aseq = np.full(16, -1, dtype=np.int64)
+        # per-slot water-fill inputs, gathered by slot instead of per flow:
+        # rate cap, weight and the index of the flow's path among the
+        # distinct link-row paths seen (``_path_table``: their rows, padded
+        # with -1; None until rebuilt after a new path)
+        self._cap = np.zeros(16)
+        self._wt = np.zeros(16)
+        self._slot_path = np.zeros(16, dtype=np.intp)
+        self._path_ids: Dict[Tuple[int, ...], int] = {}
+        self._path_table: Optional[np.ndarray] = None
+        self._cands: Optional[List[Tuple[float, int, int]]] = []
+        self._timer: Optional[Event] = None
 
     # ------------------------------------------------------------------
     # topology
@@ -584,20 +583,21 @@ class Network:
         water-filling rounds down).
         """
         self.flush()
-        inf = float("inf")
-        out: Dict[Tuple[str, str], float] = {}
-        for key, link in self._links.items():
-            if not link.up:
-                out[(link.a, link.b)] = 0.0
-                continue
-            load = 0.0
-            # sorted: float accumulation order must not depend on set order
-            for fid in sorted(self._members.get(self._row_of[key], ())):
-                rate = self._flows[fid].rate
-                if 0 < rate < inf:
-                    load += rate
-            out[(link.a, link.b)] = min(1.0, load / link.bandwidth)
-        return out
+        return {
+            (link.a, link.b): (min(1.0, self._row_load(key) / link.bandwidth)
+                               if link.up else 0.0)
+            for key, link in self._links.items()
+        }
+
+    def _row_load(self, key: FrozenSet[str]) -> float:
+        """Sum of the finite allocated rates of a link's contending flows."""
+        load = 0.0
+        # sorted: float accumulation order must not depend on set order
+        for fid in sorted(self._members.get(self._row_of[key], ())):
+            rate = self._flows[fid].rate
+            if 0 < rate < float("inf"):
+                load += rate
+        return load
 
     # ------------------------------------------------------------------
     # cross-shard boundary links
@@ -620,14 +620,7 @@ class Network:
         if key not in self._links:
             return 0.0
         self.flush()
-        inf = float("inf")
-        load = 0.0
-        # sorted: float accumulation order must not depend on set order
-        for fid in sorted(self._members.get(self._row_of[key], ())):
-            rate = self._flows[fid].rate
-            if 0 < rate < inf:
-                load += rate
-        return load
+        return self._row_load(key)
 
     def set_remote_load(self, a: str, b: str, load: float) -> None:
         """Reserve remote (cross-shard) load on a boundary link.
@@ -716,15 +709,10 @@ class Network:
         if self.tcp_window is not None:
             rtt = max(2.0 * flow.prop_latency, 1e-6)
             flow.rate_cap = self.tcp_window / rtt
-        self._flows[flow.fid] = flow
+        self._register(flow)
         self._admit(flow)
         if flow.rate_cap != float("inf") and self._quiet(flow):
-            # every link keeps cap-sum headroom even with this flow at its
-            # window ceiling: pin it there and leave everyone else alone
-            flow.rate = flow.rate_cap
-            self.stats.flows_rerated += 1
-            self.stats.fast_rated += 1
-            self._reschedule(flow, now)
+            self._pin_at_cap(flow, now)
         else:
             self._poke(self._rows_for(flow))
         return flow
@@ -732,12 +720,11 @@ class Network:
     def admission_plan(
         self, items: Sequence[Tuple[str, str, int]]
     ) -> AdmissionPlan:
-        """Precompute a vectorized admission plan for one same-timestamp
+        """Precompute an admission plan for one same-timestamp
         batch of ``(src, dst, size)`` transfers.
 
-        All array math happens here — path/row resolution shared per
-        unique path, initial rate seeding (``tcp_window / rtt``),
-        serialization ETAs and the interleaved quiet-link verdicts — so
+        Path/row resolution and initial rate seeding (``tcp_window /
+        rtt``) happen here, once per unique path, so
         :meth:`AdmissionPlan.admit` only commits per-flow state.  Falls
         back to a pass-through plan (``vector_ok`` False) when any item
         cannot be planned; the batch then admits through scalar
@@ -758,7 +745,6 @@ class Network:
         props: List[float] = []
         caps_list: List[float] = []
         row_ids: List[Tuple[int, ...]] = []
-        row_arrs: List[np.ndarray] = []
         for src, dst, size in plan.items:
             if src == dst or size < 0:
                 return plan
@@ -774,67 +760,19 @@ class Network:
                     float("inf") if self.tcp_window is None
                     else self.tcp_window / max(2.0 * prop, 1e-6)
                 )
-                hit = (links, prop, cap, ids, np.array(ids, dtype=np.intp))
+                hit = (links, prop, cap, ids)
                 plan_cache[pair] = hit
             links_list.append(hit[0])
             props.append(hit[1])
             caps_list.append(hit[2])
             row_ids.append(hit[3])
-            row_arrs.append(hit[4])
-        if full:
-            # full mode pins _quiet to False, so no verdicts or ETAs are
-            # needed: every item commits "loud" and finish() feeds one
-            # coalesced _rebalance_full for the batch.
-            plan._quiet_flags = np.zeros(n, dtype=bool)
-            plan._etas = [0.0] * n
-            plan._full = True
-        else:
-            # initial rate seeding: the scalar expressions, elementwise
-            caps = np.array(caps_list, dtype=float)
-            sizes = np.fromiter(
-                (it[2] for it in plan.items), dtype=float, count=n
-            )
-            ser = sizes / caps
-            now = self.queue.now
-            etas = np.maximum(now + ser, now)
-            # interleaved quiet verdicts: walk the batch once,
-            # accumulating each row's simulated cap-sum load from its
-            # live value in item order — the same left-fold float
-            # accumulation scalar _admit performs, so every verdict
-            # equals the interleaved scalar _quiet answer.  A row that
-            # crosses its bandwidth stays over for the rest of the batch
-            # (cap-sum load only grows during pure admission), exactly
-            # like the live _row_over latch.
-            capload, unc, over, bw = (
-                self._row_capload, self._row_unc,
-                self._row_over, self._row_bw,
-            )
-            sim: Dict[int, float] = {}
-            flags = np.empty(n, dtype=bool)
-            for i in range(n):
-                cap = caps_list[i]
-                quiet = True
-                for r in row_ids[i]:
-                    if unc[r] > 0 or over[r]:
-                        quiet = False  # over before the batch even starts
-                        continue
-                    load = sim.get(r)
-                    if load is None:
-                        load = capload[r]
-                    load += cap
-                    sim[r] = load
-                    if load > bw[r]:
-                        quiet = False
-                flags[i] = quiet
-            plan._quiet_flags = flags
-            # plain floats: np scalars must not leak into event
-            # timestamps (fingerprints call float.hex()) or flow math
-            plan._etas = [float(e) for e in etas]
+        # full mode has no quiet fast path: every item commits "loud" and
+        # finish() feeds one coalesced _rebalance_full for the batch
+        plan._full = full
         plan._links = links_list
         plan._props = props
         plan._caps = caps_list
         plan._row_ids = row_ids
-        plan._row_arrs = row_arrs
         plan.vector_ok = True
         return plan
 
@@ -849,10 +787,7 @@ class Network:
         if flow.fid in self._flows:
             quiet = self._quiet(flow)
             self._remove(flow)
-            if quiet:
-                self.stats.fast_rated += 1
-            else:
-                self._poke(self._rows_for(flow))
+            self._retrigger(flow, quiet)
 
     def pause_flow(self, flow: Flow) -> None:
         """Take a flow out of bandwidth contention, keeping its progress.
@@ -873,15 +808,10 @@ class Network:
         self._expel(flow)
         old_rate = flow.rate
         flow.rate = 0.0
-        if flow._completion_event is not None:
-            self.queue.cancel(flow._completion_event)
-            flow._completion_event = None
+        self._disarm(flow.slot)
         if flow.on_rate_change is not None and old_rate != 0.0:
             flow.on_rate_change(flow, old_rate)
-        if quiet:
-            self.stats.fast_rated += 1
-        else:
-            self._poke(self._rows_for(flow))
+        self._retrigger(flow, quiet)
 
     def resume_flow(self, flow: Flow) -> None:
         """Re-admit a paused flow to bandwidth contention."""
@@ -893,12 +823,7 @@ class Network:
         flow.last_update = self.queue.now  # no progress while paused
         self._admit(flow)
         if flow.rate_cap != float("inf") and self._quiet(flow):
-            flow.rate = flow.rate_cap
-            self.stats.flows_rerated += 1
-            self.stats.fast_rated += 1
-            if flow.on_rate_change is not None:
-                flow.on_rate_change(flow, 0.0)
-            self._reschedule(flow, self.queue.now)
+            self._pin_at_cap(flow, self.queue.now)
         else:
             self._poke(self._rows_for(flow))
 
@@ -910,12 +835,32 @@ class Network:
             return
         flow.weight = weight
         if flow.fid in self._flows and not (flow.done or flow.failed):
-            if self._quiet(flow):
-                # every member sits at its own window ceiling regardless of
-                # weight: nothing to re-rate
-                self.stats.fast_rated += 1
-            else:
-                self._poke(self._rows_for(flow))
+            self._wt[flow.slot] = weight
+            # on quiet links every member sits at its own window ceiling
+            # regardless of weight: nothing to re-rate
+            self._retrigger(flow, self._quiet(flow))
+
+    def _pin_at_cap(self, flow: Flow, now: float) -> None:
+        """Run a newly contending flow at its window ceiling.
+
+        Only for quiet links: every link keeps cap-sum headroom even with
+        this flow at its ceiling, so nobody else is re-rated.
+        """
+        flow.rate = flow.rate_cap
+        self.stats.flows_rerated += 1
+        self.stats.fast_rated += 1
+        if flow.on_rate_change is not None:
+            flow.on_rate_change(flow, 0.0)
+        self._reschedule(flow, now)
+
+    def _retrigger(self, flow: Flow, quiet: bool) -> None:
+        """After a flow joins, leaves or changes: re-rate its component
+        unless ``quiet`` proved nobody can move, then re-aim the timer."""
+        if quiet:
+            self.stats.fast_rated += 1
+        else:
+            self._poke(self._rows_for(flow))
+        self._aim()
 
     # -- incremental-rebalance bookkeeping -------------------------------
     def _rows_for(self, flow: Flow) -> Tuple[int, ...]:
@@ -984,10 +929,114 @@ class Network:
                 return False
         return True
 
+    def _register(self, flow: Flow) -> None:
+        """Admit a flow to the flow table and give it a slot."""
+        self._flows[flow.fid] = flow
+        if self._free_slots:
+            slot = self._free_slots.pop()
+            self._slot_flow[slot] = flow
+        else:
+            slot = len(self._slot_flow)
+            self._slot_flow.append(flow)
+            if slot == len(self._eta):
+                self._grow_slots()
+        rows = self._rows_for(flow)
+        path = self._path_ids.get(rows)
+        if path is None:
+            path = self._path_ids[rows] = len(self._path_ids)
+            self._path_table = None
+        self._slot_path[slot] = path
+        self._cap[slot] = flow.rate_cap
+        self._wt[slot] = flow.weight
+        flow.slot = slot
+
+    def _grow_slots(self) -> None:
+        """Double every per-slot array."""
+        for name in ("_eta", "_aseq", "_cap", "_wt", "_slot_path"):
+            old = getattr(self, name)
+            setattr(self, name, np.concatenate([old, np.full_like(
+                old, np.inf if name == "_eta" else -1)]))
+
     def _remove(self, flow: Flow) -> None:
         """Take a flow out of the admitted set entirely."""
         del self._flows[flow.fid]
         self._expel(flow)
+        slot = flow.slot
+        self._disarm(slot)
+        self._slot_flow[slot] = None
+        self._free_slots.append(slot)
+        flow.slot = -1
+
+    # -- completion timer ---------------------------------------------------
+    def _arm(self, flow: Flow, eta: float) -> None:
+        """Arm an unarmed flow to drain at ``eta``.
+
+        Reserves the queue sequence number a per-flow completion event
+        would have taken here, so ties order exactly as they would have.
+        """
+        slot = flow.slot
+        seq = self.queue.reserve_seq()
+        self._eta[slot] = eta
+        self._aseq[slot] = seq
+        if self._cands is not None:
+            heapq.heappush(self._cands, (eta, seq, slot))
+
+    def _disarm(self, slot: int) -> None:
+        """Clear a slot's arming (no-op when it is not armed)."""
+        if self._aseq[slot] >= 0:
+            self._eta[slot] = np.inf
+            self._aseq[slot] = -1
+
+    def _earliest(self) -> Optional[Tuple[float, int, int]]:
+        """The lexicographically least ``(eta, seq, slot)`` arming."""
+        cands = self._cands
+        if cands is None:
+            # a sorted list is a heap: rebuild it from the arrays
+            armed = np.flatnonzero(self._aseq >= 0)
+            eta, seq = self._eta[armed], self._aseq[armed]
+            order = np.lexsort((seq, eta))
+            cands = self._cands = list(zip(
+                eta[order].tolist(), seq[order].tolist(),
+                armed[order].tolist()))
+        aseq = self._aseq
+        while cands:
+            if aseq[cands[0][2]] == cands[0][1]:
+                return cands[0]
+            heapq.heappop(cands)  # re-armed or disarmed since pushed
+        return None
+
+    def _aim(self) -> None:
+        """Point the timer event at the earliest armed flow.
+
+        Every operation that arms or disarms ends here before control
+        returns to the event loop; the timer moves (one cancel, one
+        schedule) only when its target changed.
+        """
+        best = self._earliest()
+        timer = self._timer
+        if timer is not None:
+            if best is not None and timer.seq == best[1]:
+                return
+            self.queue.cancel(timer)
+            self._timer = None
+        if best is not None:
+            eta, seq, slot = best
+            flow = self._slot_flow[slot]
+            assert flow is not None
+            self._timer = self.queue.schedule(
+                eta, self._on_timer, f"flow:{flow.label}", seq=seq)
+
+    def _on_timer(self) -> None:
+        """The earliest armed flow's drain time has come (every path of
+        :meth:`_drain_check` re-aims the timer)."""
+        timer, best = self._timer, self._earliest()
+        assert timer is not None and best is not None and best[1] == timer.seq
+        self._timer = None
+        slot = best[2]
+        flow = self._slot_flow[slot]
+        assert flow is not None
+        self._disarm(slot)
+        self._drain_check(flow)
 
     def _poke(self, rows: Iterable[int]) -> None:
         """Register a rebalance trigger for the given link rows.
@@ -1034,9 +1083,13 @@ class Network:
         comp: List[Flow] = []
         seen: Set[int] = set()
         # sorted: the BFS visit order decides the order flows are appended
-        # to ``comp`` and therefore the order completion events are
-        # rescheduled — same-timestamp ties break by schedule order, so set
-        # iteration here would leak hash-seed state into the event stream
+        # to ``comp`` and therefore the order completion times are armed —
+        # same-timestamp ties break by arm order, so set iteration here
+        # would leak hash-seed state into the event stream.  The walk is a
+        # stack that pushes the path rows of each newly seen flow in turn;
+        # only the last push of a row can be popped before the row is
+        # walked, so each batch pushes its rows deduplicated to their last
+        # occurrence, minus the rows already walked.
         stack = sorted(row for row in self._dirty if row in members)
         self._dirty.clear()
         while stack:
@@ -1044,107 +1097,61 @@ class Network:
             if row in comp_rows:
                 continue
             comp_rows.add(row)
-            for fid in sorted(members[row]):
-                if fid in seen:
-                    continue
-                seen.add(fid)
-                flow = flow_by_id[fid]
-                comp.append(flow)
-                for other in flow.link_row_ids:
-                    if other not in comp_rows and other in members:
-                        stack.append(other)
+            fids = members[row] - seen
+            if not fids:
+                continue
+            seen |= fids
+            flows = list(map(flow_by_id.__getitem__, sorted(fids)))
+            comp += flows
+            pushed = list(itertools.chain.from_iterable(map(_ROWS, flows)))
+            top_first = [r for r in dict.fromkeys(reversed(pushed))
+                         if r not in comp_rows and r in members]
+            top_first.reverse()
+            stack += top_first
         if not comp:
             return
         self.stats.recomputes += 1
         self.stats.component_flows += len(comp)
-        if self.rebalance_mode == "batched":
-            self._flush_batched(comp, now)
-            return
-        # Settling is lazy: between rate changes the linear-drain invariant
-        # keeps ``remaining`` exact as of ``last_update``, so only flows
-        # that drained en route or whose rate is about to change need
-        # settling — the (common) untouched flow costs nothing here.
-        live: List[Flow] = []
-        for f in comp:
-            rem = f.remaining
-            if f.rate > 0.0:
-                rem -= f.rate * (now - f.last_update)
-            if f.drained_at is not None or rem <= 1e-9:
-                self._settle_flow(f, now)
-                self._retire(f)
-            else:
-                live.append(f)
-        rates = self._component_rates(live)
-        eps = self.rate_epsilon
-        for f in live:
-            new = rates.get(f.fid, 0.0)
-            old = f.rate
-            if new != old:
-                self._settle_flow(f, now)
-                f.rate = new
-                self.stats.flows_rerated += 1
-                if f.on_rate_change is not None:
-                    f.on_rate_change(f, old)
-            # epsilon gate: identical (or nearly identical) rates keep
-            # their completion event — the drain check self-corrects any
-            # sub-epsilon drift in either direction
-            if (f._completion_event is not None
-                    and abs(new - old) <= eps * max(abs(new), abs(old))):
-                continue
-            self._reschedule(f, now)
+        slots = np.fromiter(map(_SLOT, comp), dtype=np.intp, count=len(comp))
+        self._rerate(comp, slots, now)
+        self._aim()
 
-    def _flush_batched(self, comp: List[Flow], now: float) -> None:
-        """Array-dispatch flush over the whole coalesced flow set.
+    def _rerate(self, comp: List[Flow], slots: np.ndarray,
+                now: float) -> None:
+        """Settle, re-rate and re-arm one coalesced flow set as arrays.
 
-        Every dirty component triggered at this timestamp arrives stacked
-        in ``comp``; drain detection, settling, the epsilon gate and the
-        completion ETAs all run as contiguous numpy operations, and only
-        flows that genuinely need a new completion event touch python
-        objects again.  Water-filling itself goes through the same
-        :meth:`_component_rates` dispatch as incremental mode.
-
-        Parity contract: each per-flow arithmetic expression below is the
-        same expression, evaluated in the same order, as the scalar path
-        in :meth:`flush` / :meth:`_settle_flow` / :meth:`_reschedule`, and
-        events are scheduled in the same flow order — so a batched run is
-        bit-identical to an incremental run (the determinism suite holds
-        this line).
+        Drain detection, settling, the epsilon gate and the completion
+        ETAs run as numpy operations over the component's slots; flows
+        are touched one by one only to store their settled state, retire
+        drained ones and call rate observers.  Each per-flow expression is
+        the one :meth:`_settle_flow` / :meth:`_reschedule` evaluate, in the
+        same order, and flows are armed in component order, so the event
+        stream matches a flow-by-flow pass bit for bit.
         """
-        self.stats.batched_flushes += 1
-        self.stats.batch_flows += len(comp)
         n = len(comp)
-        rem = np.empty(n, dtype=float)
-        rate = np.empty(n, dtype=float)
-        lu = np.empty(n, dtype=float)
-        dead = np.empty(n, dtype=bool)
-        for i, f in enumerate(comp):
-            rem[i] = f.remaining
-            rate[i] = f.rate
-            lu[i] = f.last_update
-            dead[i] = f.drained_at is not None
-        # scalar path: rem -= rate * (now - last_update) when rate > 0
+        rem = np.fromiter(map(_REMAINING, comp), dtype=float, count=n)
+        rate = np.fromiter(map(_RATE, comp), dtype=float, count=n)
+        lu = np.fromiter(map(_LAST_UPDATE, comp), dtype=float, count=n)
+        drained_at = list(map(_DRAINED_AT, comp))
+        dead = (np.zeros(n, dtype=bool) if drained_at.count(None) == n
+                else np.array([d is not None for d in drained_at]))
+        # _settle_flow's test: rem -= rate * (now - last_update) when rate > 0
         dead |= np.where(rate > 0.0, rem - rate * (now - lu), rem) <= 1e-9
         if dead.any():
-            live: List[Flow] = []
-            for i, f in enumerate(comp):
-                if dead[i]:
-                    self._settle_flow(f, now)
-                    self._retire(f)
-                else:
-                    live.append(f)
+            for i in np.flatnonzero(dead).tolist():
+                self._settle_flow(comp[i], now)
+                self._retire(comp[i])
             alive = ~dead
+            live = list(itertools.compress(comp, alive.tolist()))
             rem = rem[alive]
             rate = rate[alive]
             lu = lu[alive]
+            slots = slots[alive]
         else:
             live = comp
-        rates = self._component_rates(live)
         if not live:
             return
-        m = len(live)
-        new = np.fromiter(
-            (rates.get(f.fid, 0.0) for f in live), dtype=float, count=m
-        )
+        new = self._component_rates(live, slots)
         old = rate
         # vectorized _settle_flow at the *old* rate (live flows all have
         # drained_at None — drained ones were retired above)
@@ -1159,52 +1166,54 @@ class Network:
             rem,
         )
         changed = new != old
-        for i in np.flatnonzero(changed):
-            f = live[i]
-            if dt[i] > 0.0:
-                if drained_now[i]:
-                    f.drained_at = float(t_drain[i])
-                f.remaining = float(rem_settled[i])
+        ch = np.flatnonzero(changed)
+        if len(ch):
+            moved = changed & (dt > 0.0)
+            for i in np.flatnonzero(moved & drained_now).tolist():
+                live[i].drained_at = float(t_drain[i])
+            for f, settled in zip(itertools.compress(live, moved.tolist()),
+                                  rem_settled[moved].tolist()):
+                f.remaining = settled
                 f.last_update = now
-            f.rate = float(new[i])
-            self.stats.flows_rerated += 1
-            if f.on_rate_change is not None:
-                f.on_rate_change(f, float(old[i]))
-        # epsilon gate + completion ETAs as array ops; flows whose events
-        # survive the gate never touch python again this flush
-        has_event = np.fromiter(
-            (f._completion_event is not None for f in live),
-            dtype=bool, count=m,
-        )
-        eps = self.rate_epsilon
-        keep = has_event & (
-            np.abs(new - old) <= eps * np.maximum(np.abs(new), np.abs(old))
+            for f, r in zip(itertools.compress(live, changed.tolist()),
+                            new[changed].tolist()):
+                f.rate = r
+            self.stats.flows_rerated += len(ch)
+            if any(map(_ON_RATE_CHANGE, live)):
+                for i in ch.tolist():
+                    f = live[i]
+                    if f.on_rate_change is not None:
+                        f.on_rate_change(f, float(old[i]))
+        # epsilon gate: identical (or nearly identical) rates keep their
+        # arming — the drain check self-corrects any sub-epsilon drift
+        keep = (self._aseq[slots] >= 0) & (
+            np.abs(new - old)
+            <= self.rate_epsilon * np.maximum(np.abs(new), np.abs(old))
         )
         need = np.flatnonzero(~keep)
         if not len(need):
             return
-        # unchanged flows reschedule from their unsettled remaining, the
-        # same bytes the scalar _reschedule would read off the object
+        # unchanged flows re-arm from their unsettled remaining, the
+        # same bytes _reschedule would read off the object
         rem_final = np.where(changed & (dt > 0.0), rem_settled, rem)
         ser = np.where(
             np.isinf(new), 0.0,
             rem_final / np.where(new > 0.0, new, 1.0),
         )
         eta = np.maximum(now + ser, now)
-        queue = self.queue
-        for i in need:
-            f = live[i]
-            if f._completion_event is not None:
-                queue.cancel(f._completion_event)
-                f._completion_event = None
-            if new[i] <= 0.0:
-                continue  # stalled; re-armed when a trigger frees bandwidth
-            f._completion_event = queue.schedule(
-                float(eta[i]),
-                lambda fl=f: self._drain_check(fl),
-                f"flow:{f.label}",
+        self._eta[slots[need]] = np.inf
+        self._aseq[slots[need]] = -1
+        # stalled flows (rate 0) stay disarmed until a trigger frees
+        # bandwidth; the rest take consecutive seqs in component order
+        arm = need[new[need] > 0.0]
+        if len(arm):
+            arm_slots = slots[arm]
+            self._eta[arm_slots] = eta[arm]
+            self._aseq[arm_slots] = (
+                self.queue.reserve_seq(len(arm)) + np.arange(len(arm))
             )
-            self.stats.events_rescheduled += 1
+            self.stats.events_rescheduled += len(arm)
+            self._cands = None
 
     def _settle_flow(self, f: Flow, now: float) -> None:
         """Drain one flow's progress up to ``now`` at its current rate."""
@@ -1221,39 +1230,64 @@ class Network:
             f.last_update = now
 
     def _reschedule(self, f: Flow, now: float) -> None:
-        """Re-arm one flow's completion event from its current rate."""
-        if f._completion_event is not None:
-            self.queue.cancel(f._completion_event)
-            f._completion_event = None
-        if f.rate <= 0:
-            return  # stalled; re-armed when a trigger frees bandwidth
+        """Re-arm one flow's completion time from its current rate."""
+        self._disarm(f.slot)
+        if f.rate > 0:
+            # the timer fires when the last byte leaves the bottleneck; the
+            # flow then stops consuming bandwidth and delivery happens one
+            # propagation delay later.
+            self._arm(f, self._eta_of(f, now))
+            self.stats.events_rescheduled += 1
+        # stalled flows stay disarmed until a trigger frees bandwidth
+        self._aim()
+
+    @staticmethod
+    def _eta_of(f: Flow, now: float) -> float:
+        """Drain time of a flow's remaining bytes at its current rate."""
         serialization = (
             0.0 if f.rate == float("inf") else f.remaining / f.rate
         )
-        # the event fires when the last byte leaves the bottleneck; the
-        # flow then stops consuming bandwidth and delivery happens one
-        # propagation delay later.
-        f._completion_event = self.queue.schedule(
-            max(now + serialization, now),
-            lambda fl=f: self._drain_check(fl),
-            f"flow:{f.label}",
-        )
-        self.stats.events_rescheduled += 1
+        return max(now + serialization, now)
 
     # -- water-filling ----------------------------------------------------
-    def _component_rates(self, flows: List[Flow]) -> Dict[int, float]:
-        """Weighted max-min fair rates for one closed component."""
-        capped = self._rates_all_capped(flows)
+    def _bw_arr(self) -> np.ndarray:
+        """Effective bandwidth per link row, as an array (cached)."""
+        bw = self._row_bw_arr
+        if bw is None:
+            bw = self._row_bw_arr = np.array(self._row_bw, dtype=float)
+        return bw
+
+    def _component_rates(
+        self, flows: List[Flow], slots: np.ndarray
+    ) -> np.ndarray:
+        """Weighted max-min fair rates for one closed component, aligned
+        with ``flows`` (whose timer slots are ``slots``)."""
+        capped = self._rates_all_capped(slots)
         if capped is not None:
             return capped
         if len(flows) >= self.vectorize_threshold:
             self.stats.vectorized += 1
-            return self._rates_vectorized(flows)
-        return self._rates_scalar(flows)
+            return self._rates_vectorized(slots)
+        rates = self._rates_scalar(flows)
+        return np.fromiter((rates[f.fid] for f in flows), dtype=float,
+                           count=len(flows))
 
-    def _rates_all_capped(
-        self, flows: List[Flow]
-    ) -> Optional[Dict[int, float]]:
+    def _slot_incidence(
+        self, slots: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(link rows, path lengths) of the slots' flows; the rows are
+        each flow's path in order, flows concatenated in slot order."""
+        table = self._path_table
+        if table is None:
+            width = max(map(len, self._path_ids))
+            table = self._path_table = np.array(
+                [rows + (-1,) * (width - len(rows))
+                 for rows in self._path_ids], dtype=np.intp)
+        paths = table[self._slot_path[slots]]
+        on_path = paths >= 0
+        return paths[on_path], on_path.sum(axis=1)
+
+    def _rates_all_capped(self, slots: np.ndarray) -> Optional[np.ndarray]:
         """Fast path: every flow pinned at its TCP-window ceiling.
 
         When each flow has a finite ``rate_cap`` and no physical link is
@@ -1263,23 +1297,16 @@ class Network:
         of a well-provisioned WAN with window-limited streams — detecting
         it costs one pass over the component, no water-filling rounds.
         """
-        inf = float("inf")
-        load: Dict[int, float] = {}
-        for f in flows:
-            cap = f.rate_cap
-            if cap == inf:
-                return None
-            rows = f.link_row_ids
-            if rows is None:
-                rows = self._rows_for(f)
-            for row in rows:
-                load[row] = load.get(row, 0.0) + cap
-        row_bw = self._row_bw
-        for row, total in load.items():
-            if total > row_bw[row]:
-                return None
+        caps = self._cap[slots]
+        if np.isinf(caps).any():
+            return None
+        rows, lens = self._slot_incidence(slots)
+        # bincount sums each row's caps in flow order, starting from 0.0
+        load = np.bincount(rows, weights=np.repeat(caps, lens))
+        if (load > self._bw_arr()[:len(load)]).any():
+            return None
         self.stats.all_capped += 1
-        return {f.fid: f.rate_cap for f in flows}
+        return caps
 
     def _rates_scalar(self, flows: Iterable[Flow]) -> Dict[int, float]:
         """Water-filling over an explicit flow set (reference path).
@@ -1360,34 +1387,17 @@ class Network:
                 members.pop(best_link, None)
         return rates
 
-    def _rates_vectorized(self, flows: List[Flow]) -> Dict[int, float]:
+    def _rates_vectorized(self, slots: np.ndarray) -> np.ndarray:
         """Water-filling over a links×flows incidence matrix (numpy).
 
         Used for large components, where the python inner loop dominates;
         results match :meth:`_rates_scalar` up to float summation order.
         """
-        n = len(flows)
-        bw = self._row_bw_arr
-        if bw is None:
-            bw = self._row_bw_arr = np.array(self._row_bw, dtype=float)
-        row_of = self._row_of
-        rows_parts: List[np.ndarray] = []
-        lens = np.empty(n, dtype=np.intp)
-        weights = np.empty(n, dtype=float)
-        flow_caps = np.empty(n, dtype=float)
-        for fi, f in enumerate(flows):
-            r = f.link_rows
-            if r is None:
-                r = np.fromiter(
-                    (row_of[lk] for lk in f.path_links),
-                    dtype=np.intp, count=len(f.path_links),
-                )
-                f.link_rows = r
-            rows_parts.append(r)
-            lens[fi] = len(r)
-            weights[fi] = f.weight
-            flow_caps[fi] = f.rate_cap
-        global_rows = np.concatenate(rows_parts)
+        n = len(slots)
+        bw = self._bw_arr()
+        global_rows, lens = self._slot_incidence(slots)
+        weights = self._wt[slots]
+        flow_caps = self._cap[slots]
         cols = np.repeat(np.arange(n), lens)
         uniq, inv = np.unique(global_rows, return_inverse=True)
         m = len(uniq)
@@ -1426,80 +1436,50 @@ class Network:
             caps[bottlenecks] = 0.0
             live_link &= ~bottlenecks
             unassigned &= ~assigned
-        return {f.fid: float(r) for f, r in zip(flows, rates)}
+        return rates
 
-    # -- full recompute (reference + benchmark baseline) ------------------
-    def _settle(self, now: float) -> None:
-        """Drain every flow's progress up to ``now`` at its current rate."""
-        for f in self._flows.values():
-            self._settle_flow(f, now)
-
-    def _maxmin_rates(self) -> Dict[int, float]:
-        """Weighted max-min fair rate for every contending flow."""
-        return self._rates_scalar(
-            f for f in self._flows.values()
-            if f.drained_at is None and not f.paused
-        )
-
+    # -- full recompute (reference) ----------------------------------------
     def _rebalance_full(self) -> None:
-        """Recompute all rates and reschedule every completion event."""
+        """Recompute all rates and re-arm every completion time."""
         now = self.queue.now
         self.stats.full_recomputes += 1
-        self._settle(now)
+        for f in self._flows.values():
+            self._settle_flow(f, now)
         # retire any flow whose bytes drained since the last event; its
         # delivery is pinned at drained_at + propagation.
         for f in [f for f in self._flows.values()
                   if f.drained_at is not None or f.remaining <= 1e-9]:
             self._retire(f)
-        rates = self._maxmin_rates()
+        rates = self._rates_scalar(
+            f for f in self._flows.values()
+            if f.drained_at is None and not f.paused
+        )
         for f in list(self._flows.values()):
             old_rate = f.rate
             f.rate = rates.get(f.fid, 0.0)
             if f.on_rate_change is not None and f.rate != old_rate:
                 f.on_rate_change(f, old_rate)
-            if f._completion_event is not None:
-                self.queue.cancel(f._completion_event)
-                f._completion_event = None
-            if f.rate <= 0:
-                continue  # stalled; will be rescheduled on next rebalance
-            serialization = (
-                0.0 if f.rate == float("inf") else f.remaining / f.rate
-            )
-            f._completion_event = self.queue.schedule(
-                max(now + serialization, now),
-                lambda fl=f: self._drain_check(fl),
-                f"flow:{f.label}",
-            )
+            self._disarm(f.slot)
+            if f.rate > 0:  # stalled flows re-arm on the next rebalance
+                self._arm(f, self._eta_of(f, now))
+        self._aim()
 
     # -- drain / delivery --------------------------------------------------
     def _drain_check(self, flow: Flow) -> None:
-        if flow.done or flow.failed:
-            return
-        if self.rebalance_mode == "full":
-            self._settle(self.queue.now)
-            if flow.fid in self._flows and flow.remaining > 1e-6:
-                # rates changed since this event was scheduled; re-arm
-                self._rebalance_full()
-                return
-            if flow.fid in self._flows:
-                self._retire(flow)
-                self._rebalance_full()
-            return
-        if flow.fid not in self._flows:
-            return
+        """Retire a flow the timer fired for, or re-arm it if bytes remain."""
         now = self.queue.now
         self._settle_flow(flow, now)
-        if flow.drained_at is None and flow.remaining > 1e-6:
-            # sub-epsilon rate drift left the old event slightly early;
-            # re-arm from the exact remaining bytes
-            self._reschedule(flow, now)
+        if flow.remaining > 1e-6:
+            # full mode: rates changed since the flow was armed; otherwise
+            # sub-epsilon rate drift fired the timer slightly early
+            if self.rebalance_mode == "full":
+                self._rebalance_full()
+            else:
+                self._reschedule(flow, now)
             return
         quiet = self._quiet(flow)
         self._retire(flow)
-        if quiet:
-            self.stats.fast_rated += 1
-        else:
-            self._poke(self._rows_for(flow))
+        self._retrigger(flow, quiet)
 
     def _retire(self, flow: Flow) -> None:
         """Remove a fully drained flow and schedule its delivery."""
@@ -1507,8 +1487,6 @@ class Network:
         if flow.drained_at is None:
             flow.drained_at = now
         self._remove(flow)
-        if flow._completion_event is not None:
-            self.queue.cancel(flow._completion_event)
         # keep the delivery event on the flow so a late cancel_flow() during
         # the propagation tail still suppresses on_complete
         flow._completion_event = self.queue.schedule(
@@ -1533,10 +1511,7 @@ class Network:
         if flow.fid in self._flows:
             quiet = self._quiet(flow)
             self._remove(flow)
-            if quiet:
-                self.stats.fast_rated += 1
-            else:
-                self._poke(self._rows_for(flow))
+            self._retrigger(flow, quiet)
         elif self.rebalance_mode == "full":
             self._poke(self._rows_for(flow))  # seed parity: recompute anyway
         if flow.on_fail is not None:

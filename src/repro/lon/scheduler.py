@@ -444,7 +444,7 @@ class TransferScheduler:
         counting, weight assignment, dedup-key hashing and initial rate
         seeding run as numpy array operations over the whole batch
         (:meth:`Network.admission_plan`), feeding the network's single
-        coalesced rebalance flush.  Under incremental/batched rebalance,
+        coalesced rebalance flush.  Under incremental rebalance,
         event streams, transfer events, stats other than the batch
         counters, and every float are bit-identical to the scalar loop —
         the property suite and ``compare_fingerprints`` hold this line.
@@ -454,8 +454,7 @@ class TransferScheduler:
         rates, completion times and transfer outcomes stay bit-equal,
         but the intermediate recompute count — and with it
         ``full_recomputes`` and traced ``rerated`` granularity — is
-        coarser, the same observable-equality standard the
-        batched-vs-incremental rebalancer meets.
+        coarser.
 
         Handles are returned in spec order.  Like :meth:`submit`,
         ``NoRouteError`` propagates from the offending spec's position;
@@ -596,7 +595,7 @@ class TransferScheduler:
     ]:
         # a spec the pre-check filtered out nevertheless reached admission
         # (its registry entry completed mid-batch): admit it scalar and
-        # degrade the plan, whose verdicts assumed this flow absent
+        # degrade the plan, which assumed this flow absent
         def admit(
             spec: TransferSpec,
             on_complete: Callable[[Flow], None],

@@ -39,14 +39,16 @@ byte-identical to the original single-wait lockstep.
 
 Merge semantics: per-client metrics concatenate in shard order (the
 contiguous partition preserves global client order); event/transfer
-fingerprint streams concatenate the same way; counters sum; wall-clock is
-the slowest shard (parallel makespan) with per-shard times retained for
-the events/s-per-core curve in ``BENCH_scale.json``.
+fingerprint streams concatenate the same way; counters sum.  Timing is
+measured, not modelled: the fleet's wall time is the elapsed time of the
+shard loops (sequential shards add up, concurrent ones overlap) and its
+CPU time is what the worker processes themselves report.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -54,6 +56,7 @@ from typing import (
     Callable,
     Dict,
     Generator,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -68,6 +71,10 @@ from ..streaming.metrics import SessionMetrics
 from ..streaming.multiclient import (
     MultiClientConfig,
     build_multiclient_rig,
+    drain_rig,
+    finish_rig,
+    rig_counters,
+    start_rig,
 )
 
 #: plain-data fault spec, picklable into worker processes:
@@ -264,6 +271,8 @@ class ShardResult:
     shard_id: int
     n_clients: int
     client_index_base: int
+    #: host seconds of the simulation loop (setup excluded), starting at
+    #: ``loop_start`` on the host-wide ``time.perf_counter`` clock
     wall_seconds: float
     events_fired: int
     sim_seconds: float
@@ -293,6 +302,21 @@ class ShardResult:
     #: the sequential lockstep driver attaches the fleet-wide log to
     #: shard 0 — its single monitor observes every shard's accesses
     access_log: Optional[List[AccessLogRecord]] = None
+    loop_start: float = 0.0
+    #: ``time.process_time()`` of the running process over the same loop
+    cpu_start: float = 0.0
+    cpu_seconds: float = 0.0
+
+
+def _covered(spans: Iterable[Tuple[float, float]]) -> float:
+    """Length of the union of ``(start, duration)`` intervals."""
+    total, reach = 0.0, float("-inf")
+    for start, duration in sorted(spans):
+        end = start + duration
+        if end > reach:
+            total += end - max(start, reach)
+            reach = end
+    return total
 
 
 @dataclass
@@ -310,13 +334,20 @@ class ShardedResult:
 
     @property
     def wall_seconds(self) -> float:
-        """Parallel makespan: the slowest shard's simulation loop."""
-        return max(s.wall_seconds for s in self.shards)
+        """Elapsed host time of the run's simulation loops.
+
+        Sequential shards add up; shards that run interleaved (lockstep)
+        or in parallel worker processes overlap and count once.
+        """
+        return _covered((s.loop_start, s.wall_seconds) for s in self.shards)
 
     @property
     def cpu_seconds(self) -> float:
-        """Total single-core work across shards (the per-core curve input)."""
-        return sum(s.wall_seconds for s in self.shards)
+        """CPU time spent in the loops: each worker process's own
+        ``process_time``, summed; shards sharing one process count once."""
+        if self.workers > 1:
+            return sum(s.cpu_seconds for s in self.shards)
+        return _covered((s.cpu_start, s.cpu_seconds) for s in self.shards)
 
     @property
     def sim_seconds(self) -> float:
@@ -404,6 +435,7 @@ class ShardedResult:
             "events_per_second": round(self.events_per_second, 1),
             "wall_seconds": round(self.wall_seconds, 3),
             "cpu_seconds": round(self.cpu_seconds, 3),
+            "cpu_count": os.cpu_count(),
             "sim_seconds": round(self.sim_seconds, 2),
             "queue_compactions": sum(
                 s.queue_compactions for s in self.shards
@@ -534,20 +566,11 @@ def _shard_session(
             float(fault["duration"]),  # type: ignore[arg-type]
             recorder=recorder,
         )
-    # synthesize (and cache) every payload up front: dataset generation is
-    # not simulation work and must not pollute the wall-time measurement
-    for key in source.lattice.all_viewsets():
-        source.payload(key)
     events: List[EventRecord] = []
     transfers: List[TransferRecord] = []
     if collect_streams:
         _attach_collectors(rig.queue, rig.scheduler, events, transfers)
-    for staging in rig.stagings:
-        staging.start()
-    for sampler in rig.samplers:
-        sampler.start()
-    for client, trace in zip(rig.clients, rig.traces):
-        client.schedule_trace(trace)
+    start_rig(source, rig)
     if horizon is None:
         horizon = max(t.duration for t in rig.traces) + settle_seconds
     if window <= 0:
@@ -558,6 +581,7 @@ def _shard_session(
     yield {}  # setup complete — the driver may start its clock
     # measuring how fast the *simulator* runs, not simulated time
     t0 = time.perf_counter()  # repro: allow[SIM001]
+    c0 = time.process_time()  # repro: allow[SIM001]
     t = 0.0
     while t < horizon:
         t = min(t + window, horizon)
@@ -588,14 +612,11 @@ def _shard_session(
                     )
                 if net.has_link(*lk):
                     net.set_remote_load(lk[0], lk[1], r)
-    for staging in rig.stagings:
-        staging.stop()
-    for sampler in rig.samplers:
-        sampler.stop()
-    rig.queue.run_until(horizon + settle_seconds, max_events=200_000_000)
+    drain_rig(rig, horizon + settle_seconds)
     wall = time.perf_counter() - t0  # repro: allow[SIM001]
-    if rig.tracer is not None:
-        rig.tracer.finish_open()
+    cpu = time.process_time() - c0  # repro: allow[SIM001]
+    finish_rig(rig)
+    rebalance, admission = rig_counters(rig)
     telemetry: Optional[WorkerTelemetry] = None
     if rig.tracer is not None:
         telemetry = export_telemetry(worker_label, rig.tracer, rig.obs)
@@ -606,18 +627,10 @@ def _shard_session(
             flight_dumps = recorder.write_dumps(
                 flight_dir, prefix=worker_label
             )
-    for m, agent, staging in zip(
-        rig.metrics, rig.client_agents,
-        rig.stagings if rig.stagings else [None] * len(rig.metrics),
-    ):
-        m.prefetch_used = agent.stats.prefetch_hits
-        if staging is not None:
-            m.staged_count = staging.stats.staged
-            m.staged_bytes = staging.stats.bytes_staged
+    for m in rig.metrics:
         # strip live handles: metrics must cross the process boundary
         m.tracer = None
         m.obs = None
-    stats = rig.network.stats
     return ShardResult(
         shard_id=shard_id,
         n_clients=config.n_clients,
@@ -625,34 +638,20 @@ def _shard_session(
         wall_seconds=wall,
         events_fired=rig.queue.fired_total,
         sim_seconds=rig.queue.now,
-        rebalance={
-            "recomputes": stats.recomputes,
-            "full_recomputes": stats.full_recomputes,
-            "coalesced": stats.coalesced,
-            "component_flows": stats.component_flows,
-            "flows_rerated": stats.flows_rerated,
-            "events_rescheduled": stats.events_rescheduled,
-            "vectorized": stats.vectorized,
-            "all_capped": stats.all_capped,
-            "fast_rated": stats.fast_rated,
-            "batched_flushes": stats.batched_flushes,
-            "batch_flows": stats.batch_flows,
-        },
+        rebalance=rebalance,
         queue_compactions=rig.queue.compactions,
         deduped_transfers=rig.scheduler.registry.stats.deduped,
         promoted_transfers=rig.scheduler.registry.stats.promoted,
-        admission={
-            "batches_flushed": rig.scheduler.stats.batches_flushed,
-            "submissions_coalesced":
-                rig.scheduler.stats.submissions_coalesced,
-            "scalar_fallbacks": rig.scheduler.stats.scalar_fallbacks,
-        },
+        admission=admission,
         boundary=boundary,
         per_client=list(rig.metrics),
         events=events if collect_streams else None,
         transfers=transfers if collect_streams else None,
         telemetry=telemetry,
         flight_dumps=flight_dumps,
+        loop_start=t0,
+        cpu_start=c0,
+        cpu_seconds=cpu,
     )
 
 

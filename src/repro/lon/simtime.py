@@ -19,7 +19,6 @@ runs bit-for-bit reproducible.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -153,7 +152,7 @@ class EventQueue:
         # (time, seq, event) triples: heap sift orders on the C float/int
         # pair without re-entering python (see Event docstring)
         self._heap: list[tuple[float, int, Event]] = []
-        self._seq = itertools.count()
+        self._next_seq = 0  # next unissued sequence number
         self._live = 0  # number of non-cancelled events in the heap
         self._garbage = 0  # cancelled events still sitting in the heap
         self.compactions = 0  # times the heap was rebuilt (for tests/bench)
@@ -171,10 +170,27 @@ class EventQueue:
         """Shortcut for ``self.clock.now``."""
         return self.clock.now
 
+    def reserve_seq(self, n: int = 1) -> int:
+        """Claim ``n`` consecutive sequence numbers; returns the first.
+
+        A caller that tracks many potential events outside the heap (the
+        network's completion timer) reserves a number at the point it
+        would have scheduled, so every other event keeps its number, and
+        later schedules the one event it needs with ``seq=``.
+        """
+        first = self._next_seq
+        self._next_seq += n
+        return first
+
     def schedule(
-        self, time: float, callback: Callable[[], None], label: str = ""
+        self, time: float, callback: Callable[[], None], label: str = "",
+        seq: Optional[int] = None,
     ) -> Event:
-        """Schedule ``callback`` at absolute simulation time ``time``."""
+        """Schedule ``callback`` at absolute simulation time ``time``.
+
+        ``seq`` is a number from :meth:`reserve_seq` to order the event
+        by; by default the event takes the next unissued one.
+        """
         if not math.isfinite(time):
             raise SimulationError(f"event time must be finite, got {time!r}")
         now = self.clock.now
@@ -184,7 +200,9 @@ class EventQueue:
                     f"cannot schedule into the past: now={now}, t={time}"
                 )
             time = now
-        seq = next(self._seq)
+        if seq is None:
+            seq = self._next_seq
+            self._next_seq += 1
         ev = Event(time=time, seq=seq,
                    callback=callback, label=label, queue=self)
         heapq.heappush(self._heap, (time, seq, ev))

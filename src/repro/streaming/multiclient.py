@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..lightfield.source import ViewSetSource
 from ..lon.ibp import Depot
@@ -54,6 +54,10 @@ __all__ = [
     "MultiClientResult",
     "build_multiclient_rig",
     "run_multiclient_session",
+    "start_rig",
+    "drain_rig",
+    "finish_rig",
+    "rig_counters",
 ]
 
 
@@ -402,6 +406,32 @@ def run_multiclient_session(
     rig = build_multiclient_rig(source, config)
     if rig_hook is not None:
         rig_hook(rig)
+    start_rig(source, rig)
+    horizon = max(t.duration for t in rig.traces) + settle_seconds
+    # measuring how fast the *simulator* runs, not simulated time: the
+    # reading never feeds back into the event stream
+    t0 = time.perf_counter()  # repro: allow[SIM001]
+    rig.queue.run_until(horizon, max_events=200_000_000)
+    drain_rig(rig, horizon + settle_seconds)
+    wall = time.perf_counter() - t0  # repro: allow[SIM001]
+    finish_rig(rig)
+    rebalance, admission = rig_counters(rig)
+    return MultiClientResult(
+        config=config,
+        per_client=rig.metrics,
+        wall_seconds=wall,
+        events_fired=rig.queue.fired_total,
+        sim_seconds=rig.queue.now,
+        rebalance=rebalance,
+        queue_compactions=rig.queue.compactions,
+        deduped_transfers=rig.scheduler.registry.stats.deduped,
+        promoted_transfers=rig.scheduler.registry.stats.promoted,
+        admission=admission,
+    )
+
+
+def start_rig(source: ViewSetSource, rig: MultiClientRig) -> None:
+    """Warm every payload, start staging and samplers, queue the traces."""
     # synthesize (and cache) every payload up front: dataset generation is
     # not simulation work and must not pollute the wall-time measurement
     for key in source.lattice.all_viewsets():
@@ -412,17 +442,19 @@ def run_multiclient_session(
         sampler.start()
     for client, trace in zip(rig.clients, rig.traces):
         client.schedule_trace(trace)
-    horizon = max(t.duration for t in rig.traces) + settle_seconds
-    # measuring how fast the *simulator* runs, not simulated time: the
-    # reading never feeds back into the event stream
-    t0 = time.perf_counter()  # repro: allow[SIM001]
-    rig.queue.run_until(horizon, max_events=200_000_000)
+
+
+def drain_rig(rig: MultiClientRig, until: float) -> None:
+    """Stop background work, then run outstanding fetches out to ``until``."""
     for staging in rig.stagings:
         staging.stop()
     for sampler in rig.samplers:
         sampler.stop()
-    rig.queue.run_until(horizon + settle_seconds, max_events=200_000_000)
-    wall = time.perf_counter() - t0  # repro: allow[SIM001]
+    rig.queue.run_until(until, max_events=200_000_000)
+
+
+def finish_rig(rig: MultiClientRig) -> None:
+    """Close the run's open spans and fill in per-client metrics."""
     if rig.tracer is not None:
         rig.tracer.finish_open()
     for m, agent, staging in zip(
@@ -433,33 +465,19 @@ def run_multiclient_session(
         if staging is not None:
             m.staged_count = staging.stats.staged
             m.staged_bytes = staging.stats.bytes_staged
+
+
+def rig_counters(
+    rig: MultiClientRig,
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """The run's rebalance and admission counters."""
     stats = rig.network.stats
-    return MultiClientResult(
-        config=config,
-        per_client=rig.metrics,
-        wall_seconds=wall,
-        events_fired=rig.queue.fired_total,
-        sim_seconds=rig.queue.now,
-        rebalance={
-            "recomputes": stats.recomputes,
-            "full_recomputes": stats.full_recomputes,
-            "coalesced": stats.coalesced,
-            "component_flows": stats.component_flows,
-            "flows_rerated": stats.flows_rerated,
-            "events_rescheduled": stats.events_rescheduled,
-            "vectorized": stats.vectorized,
-            "all_capped": stats.all_capped,
-            "fast_rated": stats.fast_rated,
-            "batched_flushes": stats.batched_flushes,
-            "batch_flows": stats.batch_flows,
-        },
-        queue_compactions=rig.queue.compactions,
-        deduped_transfers=rig.scheduler.registry.stats.deduped,
-        promoted_transfers=rig.scheduler.registry.stats.promoted,
-        admission={
-            "batches_flushed": rig.scheduler.stats.batches_flushed,
-            "submissions_coalesced":
-                rig.scheduler.stats.submissions_coalesced,
-            "scalar_fallbacks": rig.scheduler.stats.scalar_fallbacks,
-        },
-    )
+    sched = rig.scheduler.stats
+    rebalance: Dict[str, int] = {k: getattr(stats, k) for k in (
+        "recomputes", "full_recomputes", "coalesced", "component_flows",
+        "flows_rerated", "events_rescheduled", "vectorized", "all_capped",
+        "fast_rated")}
+    admission = {"batches_flushed": sched.batches_flushed,
+                 "submissions_coalesced": sched.submissions_coalesced,
+                 "scalar_fallbacks": sched.scalar_fallbacks}
+    return rebalance, admission

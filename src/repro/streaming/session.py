@@ -121,7 +121,6 @@ class SessionConfig:
     sample_period: float = 0.5
     #: flow re-rating strategy (see repro.lon.network): "incremental"
     #: recomputes only the affected link/flow component per change;
-    #: "batched" adds the array-dispatch flush on top of incremental;
     #: "full" is the O(flows × links) reference recompute
     network_rebalance: str = "incremental"
     #: component size (flows) at which a water-fill takes the numpy path

@@ -153,7 +153,13 @@ class StagingPump:
         return 0.05
 
     def _launch_copies(self) -> None:
-        while self._pending and len(self._in_flight) < self.max_concurrent:
+        # one pass over the keys pending now: a copy that fails on the spot
+        # (its target depot unreachable) requeues its key at the front,
+        # and retrying it within the same pass would spin forever
+        budget = len(self._pending)
+        while (budget and self._pending
+               and len(self._in_flight) < self.max_concurrent):
+            budget -= 1
             if self.order == "proximity" and not self._sorted:
                 anchor = self._cursor_key or self._pending[0]
                 self._pending.sort(

@@ -1,4 +1,4 @@
-"""Unit tests for trigger coalescing and the batched array flush.
+"""Unit tests for trigger coalescing and the array flush.
 
 The scaling benchmark drives these paths at fleet size; this module pins
 the accounting down at the smallest scale that can exercise it, so a
@@ -57,52 +57,65 @@ class TestCoalescing:
         q.run()
 
 
-class TestBatchedFlush:
-    def _contended(self, mode):
+class TestArrayFlush:
+    """The one incremental flush: settle, re-rate and re-arm a component
+    as array operations, completing flows through the one timer."""
+
+    #: completion times and stats of the rig below, recorded when every
+    #: flow still owned its own completion event in the queue
+    PINNED_FINISH = [
+        "0x1.483126e978d50p+0", "0x1.89ba5e353f7cfp+0",
+        "0x1.cb4395810624ep+0", "0x1.dba5e353f7cedp+0",
+        "0x1.0e978d4fdf3b6p+1", "0x1.1ef9db22d0e56p+1",
+        "0x1.2f5c28f5c28f5p+1", "0x1.378d4fdf3b645p+1",
+        "0x1.3fbe76c8b4395p+1", "0x1.5851eb851eb85p+1",
+        "0x1.6083126e978d4p+1", "0x1.7916872b020c4p+1",
+    ]
+    PINNED_STATS = {"recomputes": 10, "coalesced": 11, "vectorized": 1,
+                    "flows_rerated": 30, "events_rescheduled": 30,
+                    "component_flows": 30}
+
+    def _contended(self, run=True):
         """Saturated hub: every flush really re-rates the component."""
         q = EventQueue()
-        net = star(q, n_leaves=6, bandwidth=mbps(5), rebalance=mode,
+        net = star(q, n_leaves=6, bandwidth=mbps(5),
                    vectorize_threshold=4)
         done = []
         for i in range(12):
             net.transfer(f"leaf{i % 3}", f"leaf{3 + i % 3}",
                          200_000 + 40_000 * i,
                          lambda f: done.append(f.finish_time))
-        q.run()
+        if run:
+            q.run()
         return net, done
 
-    def test_batched_flushes_and_batch_flows_counted(self):
-        net, done = self._contended("batched")
-        assert len(done) == 12
-        assert net.stats.batched_flushes > 0
-        # every flush dispatched through the array path, none fell back
-        assert net.stats.batched_flushes == net.stats.recomputes
-        # the array pass saw the whole coalesced flow set, not singletons
-        assert net.stats.batch_flows > net.stats.batched_flushes
+    def test_flush_rerates_whole_component(self):
+        net, done = self._contended(run=False)
+        net.flush()
+        assert net.stats.recomputes == 1
+        # the one flush saw the whole coalesced flow set and armed it all
+        assert net.stats.component_flows == 12
+        assert net.stats.events_rescheduled == 12
 
-    def test_incremental_mode_never_batch_flushes(self):
-        net, done = self._contended("incremental")
-        assert len(done) == 12
-        assert net.stats.recomputes > 0
-        assert net.stats.batched_flushes == 0
-        assert net.stats.batch_flows == 0
+    def test_one_timer_event_for_all_armed_flows(self):
+        net, _ = self._contended(run=False)
+        net.flush()
+        # twelve armed flows, one live queue event: the timer
+        assert len(net.queue) == 1
+        assert net._timer is not None
+        assert net._timer.label.startswith("flow:")
 
-    def test_batched_completions_bit_equal_to_incremental(self):
-        _, inc = self._contended("incremental")
-        _, bat = self._contended("batched")
-        assert [t.hex() for t in inc] == [t.hex() for t in bat]
+    def test_completions_match_per_flow_events(self):
+        _, done = self._contended()
+        assert [t.hex() for t in done] == self.PINNED_FINISH
 
-    def test_batched_stats_match_incremental_stats(self):
-        """The array flush must fire the same recompute/reschedule pattern
-        as the scalar loop it replaces — same triggers, same epsilon
-        gating, same vectorized water-fill dispatch."""
-        inc_net, _ = self._contended("incremental")
-        bat_net, _ = self._contended("batched")
-        for field in ("recomputes", "coalesced", "vectorized",
-                      "flows_rerated", "events_rescheduled",
-                      "component_flows"):
-            assert getattr(bat_net.stats, field) == \
-                getattr(inc_net.stats, field), field
+    def test_stats_match_per_flow_events(self):
+        """Same triggers, same epsilon gating, same water-fill dispatch
+        and the same number of armings as per-flow completion events."""
+        net, _ = self._contended()
+        for name, value in self.PINNED_STATS.items():
+            assert getattr(net.stats, name) == value, name
+        assert net.queue.fired_total == 37
 
 
 class TestFullModeAdmissionPlan:

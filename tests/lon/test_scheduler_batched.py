@@ -2,15 +2,14 @@
 
 Two equality standards, matching the two rebalance families:
 
-* under ``incremental``/``batched`` rebalance the array path must be
+* under ``incremental`` rebalance the array path must be
   *bit-identical* to a loop of scalar submits — same transfer events at
   the same times, same completion floats, same network stats — across
   priority mixes, dedup collisions, pre-tripped tokens and mid-batch
   cancellations (the hypothesis properties below);
 * under ``full`` rebalance the batch coalesces the scalar path's
   per-submission synchronous recomputes into one flush: final rates and
-  completion times stay bit-equal while ``full_recomputes`` drops — the
-  observable-equality standard ``rebalance="batched"`` set in PR 6.
+  completion times stay bit-equal while ``full_recomputes`` drops.
 
 Plus the registry regression the batch work exposed: a cancel teardown
 that synchronously resubmits its key must not have the fresh entry torn
@@ -144,7 +143,7 @@ OBSERVABLES = ("events", "done", "states", "registry", "sched", "net")
 
 
 class TestBatchedEqualsScalar:
-    @pytest.mark.parametrize("rebalance", ["incremental", "batched"])
+    @pytest.mark.parametrize("rebalance", ["incremental"])
     @given(drawn=scenario_st)
     @settings(max_examples=20, deadline=None)
     def test_batched_bit_equal_to_scalar(self, rebalance, drawn):

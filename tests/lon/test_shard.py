@@ -15,6 +15,8 @@ into sim time is the one thing that *would* legitimately differ across
 processes.
 """
 
+import os
+
 import pytest
 
 from repro.analysis.determinism import (
@@ -109,10 +111,13 @@ class TestShardExecution:
             len(m.accesses) for m in sharded.per_client)
         assert agg["events_fired"] == sum(
             s.events_fired for s in sharded.shards)
-        assert sharded.wall_seconds == max(
-            s.wall_seconds for s in sharded.shards)
-        assert sharded.cpu_seconds == pytest.approx(sum(
+        # sequential shards run one after another: the elapsed loop time
+        # is their sum, and one process cannot burn more CPU than that
+        assert sharded.wall_seconds == pytest.approx(sum(
             s.wall_seconds for s in sharded.shards))
+        assert 0.0 < sharded.cpu_seconds <= (
+            sharded.wall_seconds * (os.cpu_count() or 1) + 0.05)
+        assert agg["cpu_count"] == os.cpu_count()
 
     def test_run_shard_matches_session_slice(self):
         """A single shard over clients [2, 4) equals the corresponding
@@ -160,13 +165,14 @@ class TestWorkerEquivalence:
         assert report.ok, report.render()
 
     def test_sharded_rebalance_modes_agree(self):
-        """Batched vs incremental equivalence survives sharding."""
+        """Under full rebalance too (the default mode is covered above),
+        worker processes merge to the sequential stream."""
         report = compare_fingerprints(
             sharded_fingerprint(seed=11, n_clients=4, n_shards=2,
                                 workers=1, resolution=32, n_accesses=6,
-                                rebalance="incremental"),
+                                rebalance="full"),
             sharded_fingerprint(seed=11, n_clients=4, n_shards=2,
-                                workers=1, resolution=32, n_accesses=6,
-                                rebalance="batched"),
+                                workers=2, resolution=32, n_accesses=6,
+                                rebalance="full"),
         )
         assert report.ok, report.render()

@@ -273,6 +273,27 @@ class TestHeapCompaction:
         assert q.fired_total == 6
 
 
+class TestReservedSeq:
+    def test_reserved_numbers_are_skipped_by_plain_schedules(self):
+        q = EventQueue()
+        a = q.schedule(1.0, lambda: None)
+        first = q.reserve_seq(3)
+        b = q.schedule(1.0, lambda: None)
+        assert (a.seq, first, b.seq) == (0, 1, 4)
+
+    def test_reserved_seq_orders_same_time_ties(self):
+        """An event scheduled late with an early reserved number fires
+        where it would have fired had it been scheduled at reservation."""
+        q = EventQueue()
+        fired = []
+        early = q.reserve_seq()
+        q.schedule(1.0, lambda: fired.append("plain"), "plain")
+        q.schedule(1.0, lambda: fired.append("reserved"), "reserved",
+                   seq=early)
+        q.run()
+        assert fired == ["reserved", "plain"]
+
+
 class TestProcess:
     def test_periodic_body_runs_until_none(self):
         q = EventQueue()
