@@ -31,10 +31,17 @@ def cartesian_to_angles(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     theta in [0, pi] from +z; phi in [0, 2pi) from +x toward +y.
     """
     p = np.asarray(points, dtype=np.float64)
-    r = np.linalg.norm(p, axis=-1)
+    return _angles(p[..., 0], p[..., 1], p[..., 2])
+
+
+def _angles(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    # |p| sums x², y², z² in that order, as np.linalg.norm does
+    r = np.sqrt(x * x + y * y + z * z)
     r = np.where(r == 0, 1.0, r)
-    theta = np.arccos(np.clip(p[..., 2] / r, -1.0, 1.0))
-    phi = np.arctan2(p[..., 1], p[..., 0])
+    theta = np.arccos(np.clip(z / r, -1.0, 1.0))
+    phi = np.arctan2(y, x)
     phi = np.where(phi < 0, phi + 2.0 * np.pi, phi)
     return theta, phi
 
@@ -133,16 +140,16 @@ class TwoSphere:
         """Synthesis fast path: inner hit *points* plus outer angles.
 
         Returns ``(p_in, u, v, valid)`` where ``p_in`` is the (N, 3) array
-        of inner-sphere entry points (garbage where invalid), and (u, v) the
-        outer-sphere entry angles.  Skips the inner-sphere angle conversion
-        that :meth:`ray_to_stuv` performs, and exploits a shared ray origin
-        (a pinhole camera) to collapse the intersection quadratic's constant
-        term to a scalar.
+        of inner-sphere entry points (garbage where invalid; a transposed
+        view of ``(3, N)`` rows), and (u, v) the outer-sphere entry angles.
+        Skips the inner-sphere angle conversion that :meth:`ray_to_stuv`
+        performs, and exploits a shared ray origin (a pinhole camera) to
+        collapse the intersection quadratic's constant term to a scalar.
         """
         o = np.asarray(origins, dtype=np.float64)
         d = np.asarray(dirs, dtype=np.float64)
         n = o.shape[0]
-        shared = n > 1 and (o[0] == o).all()
+        shared = n > 1 and np.array_equal(o[1:], o[:-1])
         if shared:
             eye = o[0]
             b = d @ eye
@@ -163,9 +170,12 @@ class TwoSphere:
         t_out = -b - sq_out
         t_out = np.where(t_out >= 0.0, t_out, -b + sq_out)
         valid &= (t_in >= 0.0) & (t_out >= 0.0)
-        p_in = o + t_in[:, None] * d
-        p_out = o + t_out[:, None] * d
-        u, v = cartesian_to_angles(p_out)
+        # planar (3, N) rows, so each per-ray factor broadcasts along a
+        # contiguous row; p_in is handed back as its (N, 3) transpose
+        d_rows = d.T.copy()
+        o_rows = o[:1].T if shared else o.T
+        p_in = (t_in * d_rows + o_rows).T
+        u, v = _angles(*(t_out * d_rows + o_rows))
         return p_in, u, v, valid
 
     def stuv_to_ray(

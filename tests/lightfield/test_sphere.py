@@ -42,6 +42,16 @@ class TestAngleConversions:
         assert np.linalg.norm(p) == pytest.approx(radius)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200))
+def test_angles_match_norm_reference_bit_for_bit(seed, n):
+    rng = np.random.default_rng(seed)
+    p = rng.normal(size=(n, 3)) * rng.uniform(1e-3, 1e3)
+    p[0] = 0.0  # the origin maps to theta = pi/2, phi = 0
+    for a, b in zip(cartesian_to_angles(p), reference_angles(p)):
+        np.testing.assert_array_equal(a, b)
+
+
 class TestTwoSphereValidation:
     def test_inner_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -176,6 +186,84 @@ class TestRayToSTUV:
             np.array(0.5), np.array(0.5), np.array(0.5), np.array(0.5)
         )
         assert np.isfinite(d).all()
+
+
+def reference_project_rays(ts, origins, dirs):
+    """``TwoSphere.project_rays`` in its row-major form: ``(N, 3)`` points,
+    angles of the outer hits from their ``np.linalg.norm`` radius."""
+    o = np.asarray(origins, dtype=np.float64)
+    d = np.asarray(dirs, dtype=np.float64)
+    if len(o) > 1 and (o[0] == o).all():
+        b = d @ o[0]
+        c_in = float(o[0] @ o[0]) - ts.r_inner**2
+        c_out = float(o[0] @ o[0]) - ts.r_outer**2
+    else:
+        b = np.einsum("ij,ij->i", o, d)
+        oo = np.einsum("ij,ij->i", o, o)
+        c_in, c_out = oo - ts.r_inner**2, oo - ts.r_outer**2
+    disc_in, disc_out = b * b - c_in, b * b - c_out
+    valid = (disc_in >= 0.0) & (disc_out >= 0.0)
+    sq_in = np.sqrt(np.where(valid, disc_in, 0.0))
+    sq_out = np.sqrt(np.where(valid, disc_out, 0.0))
+    t_in = np.where(-b - sq_in >= 0.0, -b - sq_in, -b + sq_in)
+    t_out = np.where(-b - sq_out >= 0.0, -b - sq_out, -b + sq_out)
+    valid &= (t_in >= 0.0) & (t_out >= 0.0)
+    u, v = reference_angles(o + t_out[:, None] * d)
+    return o + t_in[:, None] * d, u, v, valid
+
+
+def reference_angles(p):
+    """``cartesian_to_angles`` with the radius from ``np.linalg.norm``."""
+    r = np.linalg.norm(p, axis=-1)
+    r = np.where(r == 0, 1.0, r)
+    phi = np.arctan2(p[..., 1], p[..., 0])
+    return (np.arccos(np.clip(p[..., 2] / r, -1.0, 1.0)),
+            np.where(phi < 0, phi + 2.0 * np.pi, phi))
+
+
+class TestProjectRays:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        shared=st.booleans(),
+    )
+    def test_matches_row_major_reference_bit_for_bit(self, seed, n, shared):
+        ts = TwoSphere(r_inner=1.0, r_outer=2.5)
+        rng = np.random.default_rng(seed)
+        radius = rng.uniform(0.5, 6.0)
+        if shared:
+            origins = np.repeat(
+                angles_to_cartesian(rng.uniform(0, np.pi),
+                                    rng.uniform(0, 2 * np.pi), radius)[None],
+                n, axis=0)
+        else:
+            origins = angles_to_cartesian(
+                rng.uniform(0, np.pi, n), rng.uniform(0, 2 * np.pi, n),
+                radius)
+        dirs = rng.normal(size=(n, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        got = ts.project_rays(origins, dirs)
+        for a, b in zip(got, reference_project_rays(ts, origins, dirs)):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+
+    def test_agrees_with_ray_to_stuv(self):
+        ts = TwoSphere(r_inner=1.0, r_outer=2.5)
+        rng = np.random.default_rng(4)
+        origins = angles_to_cartesian(
+            rng.uniform(0, np.pi, 500), rng.uniform(0, 2 * np.pi, 500), 4.0)
+        dirs = rng.uniform(-0.8, 0.8, (500, 3)) - origins
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        p_in, u, v, valid = ts.project_rays(origins, dirs)
+        s, t, u_ref, v_ref, valid_ref = ts.ray_to_stuv(origins, dirs)
+        np.testing.assert_array_equal(valid, valid_ref)
+        assert valid.any() and not valid.all()
+        np.testing.assert_allclose(u[valid], u_ref[valid], atol=1e-12)
+        np.testing.assert_allclose(v[valid], v_ref[valid], atol=1e-12)
+        s2, t2 = cartesian_to_angles(p_in[valid])
+        np.testing.assert_allclose(s2, s[valid], atol=1e-12)
+        np.testing.assert_allclose(t2, t[valid], atol=1e-12)
 
 
 class TestFov:
