@@ -10,6 +10,7 @@ batches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -34,6 +35,13 @@ class Light:
         if n == 0:
             raise ValueError("light direction cannot be zero")
         return d / n
+
+    @cached_property
+    def _unit_direction(self) -> np.ndarray:
+        """:meth:`unit_direction`, computed once per light (read-only)."""
+        d = self.unit_direction()
+        d.flags.writeable = False
+        return d
 
 
 def shade_blinn_phong(
@@ -65,20 +73,33 @@ def shade_blinn_phong(
     g = np.asarray(gradients, dtype=np.float64)
     v = -np.asarray(view_dirs, dtype=np.float64)  # toward the eye
     mag = np.linalg.norm(g, axis=1)
-    shaded = colors * (light.ambient + light.diffuse)  # default: flat
     strong = mag > gradient_floor
-    if strong.any():
-        n = g[strong] / mag[strong, None]
-        ldir = light.unit_direction()
-        # two-sided shading: volume "surfaces" face either way
-        ndotl = np.abs(n @ ldir)
-        half = ldir[None, :] + v[strong]
-        half_norm = np.linalg.norm(half, axis=1, keepdims=True)
-        half = np.divide(half, half_norm, out=np.zeros_like(half),
-                         where=half_norm > 0)
-        ndoth = np.abs(np.einsum("ij,ij->i", n, half))
-        spec = light.specular * (ndoth ** light.shininess)
-        lum = light.ambient + light.diffuse * ndotl
-        shaded[strong] = colors[strong] * lum[:, None].astype(np.float32)
-        shaded[strong] += spec[:, None].astype(np.float32)
-    return np.clip(shaded, 0.0, 1.0)
+    if strong.all():
+        # the usual case on a lit step: no flat samples to mask around
+        shaded = _lit(colors, g / mag[:, None], v, light)
+    else:
+        shaded = colors * (light.ambient + light.diffuse)  # default: flat
+        if strong.any():
+            shaded[strong] = _lit(
+                colors[strong], g[strong] / mag[strong, None], v[strong], light
+            )
+    return np.minimum(np.maximum(shaded, 0.0, out=shaded), 1.0, out=shaded)
+
+
+def _lit(
+    colors: np.ndarray, n: np.ndarray, v: np.ndarray, light: Light
+) -> np.ndarray:
+    """Blinn-Phong colors at samples with unit normals ``n``."""
+    ldir = light._unit_direction
+    # two-sided shading: volume "surfaces" face either way
+    ndotl = np.abs(n @ ldir)
+    half = ldir[None, :] + v
+    half_norm = np.linalg.norm(half, axis=1, keepdims=True)
+    half = np.divide(half, half_norm, out=np.zeros_like(half),
+                     where=half_norm > 0)
+    ndoth = np.abs(np.einsum("ij,ij->i", n, half))
+    spec = light.specular * (ndoth ** light.shininess)
+    lum = light.ambient + light.diffuse * ndotl
+    shaded = colors * lum[:, None].astype(np.float32)
+    shaded += spec[:, None].astype(np.float32)
+    return shaded

@@ -15,10 +15,10 @@ Acceleration (``RenderSettings.accelerated``, on by default) clips each
 ray's march to the span of *active macrocells* it can intersect, via the
 min-max grid in :mod:`repro.volume.accel`.  Sample positions lie on the
 same ``t_near + (k + 0.5) * step`` lattice in both paths and skipped
-samples have exactly zero extinction, so the accelerated image matches the
-brute-force one to floating-point noise (documented tolerance: max abs
-error < 1e-5; the only semantic difference is that ``max_steps`` budgets
-marched steps, and the accelerated path spends none on empty space).
+samples have exactly zero extinction, so the accelerated image is
+bit-identical to the brute-force one (the only semantic difference is that
+``max_steps`` budgets marched steps, and the accelerated path spends none
+on empty space).
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ class RenderSettings:
 
     ``step`` defaults to half a voxel of the target volume.  ``opacity_cutoff``
     is the transmittance below which a ray is terminated early.
-    ``accelerated`` enables macrocell empty-space skipping (lossless up to
-    float noise; see the module docstring); ``macrocell_size`` is the
+    ``accelerated`` enables macrocell empty-space skipping (bit-identical
+    output; see the module docstring); ``macrocell_size`` is the
     macrocell edge in voxels.
     """
 

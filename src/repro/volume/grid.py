@@ -20,6 +20,14 @@ import numpy as np
 __all__ = ["VolumeGrid"]
 
 
+def _lerp(a: np.ndarray, b: np.ndarray, ga: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """``a * ga + b * fb``, computed in place in ``a`` (``b`` is clobbered)."""
+    a *= ga
+    b *= fb
+    a += b
+    return a
+
+
 @dataclass
 class VolumeGrid:
     """A dense scalar field on a regular grid, centered in world space.
@@ -55,6 +63,9 @@ class VolumeGrid:
         # uniform scale: world units per voxel along the largest axis
         self._voxel = 2.0 * self.extent / (shape.max() - 1.0)
         self._half_size = (shape - 1.0) * self._voxel / 2.0
+        # largest continuous index per axis (the far face), as a column
+        # that broadcasts along planar (3, N) index rows
+        self._index_max = (shape - 1.0)[:, None]
 
     # ------------------------------------------------------------------
     # geometry
@@ -98,63 +109,85 @@ class VolumeGrid:
         Points outside the bounding box return 0 (vacuum), which is how the
         ray caster composites empty space without branching.
         """
-        idx = self.world_to_index(points)
-        nx, ny, nz = self.data.shape
+        return self._sample_index(self._planar_index(points))
+
+    def _planar_index(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`world_to_index` as a C-ordered ``(3, N)`` array.
+
+        Per-axis offsets and bounds then broadcast along whole rows of N
+        points instead of along rows of 3.
+        """
+        pts = np.asarray(points, dtype=np.float64)
+        idx = np.add(pts.T, self._half_size[:, None], order="C")
+        idx /= self._voxel
+        return idx
+
+    def _sample_index(self, idx: np.ndarray) -> np.ndarray:
+        """:meth:`sample` at ``(3, N)`` continuous voxel indices."""
         # tolerate float rounding at the faces: a point computed as lying on
         # the bounding box (e.g. a ray's exact exit t) may land 1 ulp past
         # it, and must sample the boundary plane, not the vacuum sentinel
         eps = 1e-6
-        inside = (
-            (idx[:, 0] >= -eps) & (idx[:, 0] <= nx - 1 + eps)
-            & (idx[:, 1] >= -eps) & (idx[:, 1] <= ny - 1 + eps)
-            & (idx[:, 2] >= -eps) & (idx[:, 2] <= nz - 1 + eps)
-        )
-        out = np.zeros(len(idx), dtype=np.float32)
-        if not inside.any():
-            return out
-        p = np.clip(
-            idx[inside], 0.0, np.array([nx - 1, ny - 1, nz - 1], dtype=np.float64)
-        )
-        i0 = np.floor(p).astype(np.intp)
-        i0[:, 0] = np.clip(i0[:, 0], 0, nx - 2)
-        i0[:, 1] = np.clip(i0[:, 1], 0, ny - 2)
-        i0[:, 2] = np.clip(i0[:, 2], 0, nz - 2)
-        f = (p - i0).astype(np.float32)
-        x0, y0, z0 = i0[:, 0], i0[:, 1], i0[:, 2]
-        d = self.data
-        c000 = d[x0, y0, z0]
-        c100 = d[x0 + 1, y0, z0]
-        c010 = d[x0, y0 + 1, z0]
-        c110 = d[x0 + 1, y0 + 1, z0]
-        c001 = d[x0, y0, z0 + 1]
-        c101 = d[x0 + 1, y0, z0 + 1]
-        c011 = d[x0, y0 + 1, z0 + 1]
-        c111 = d[x0 + 1, y0 + 1, z0 + 1]
-        fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-        c00 = c000 * (1 - fx) + c100 * fx
-        c10 = c010 * (1 - fx) + c110 * fx
-        c01 = c001 * (1 - fx) + c101 * fx
-        c11 = c011 * (1 - fx) + c111 * fx
-        c0 = c00 * (1 - fy) + c10 * fy
-        c1 = c01 * (1 - fy) + c11 * fy
-        out[inside] = c0 * (1 - fz) + c1 * fz
+        upper = self._index_max + eps
+        if idx.size and idx.min() >= -eps and (idx <= upper).all():
+            # the common case (a march's midpoints): no vacuum to scatter
+            return self._trilinear(idx)
+        inside = ((idx >= -eps) & (idx <= upper)).all(axis=0)
+        out = np.zeros(idx.shape[1], dtype=np.float32)
+        if inside.any():
+            out[inside] = self._trilinear(idx[:, inside])
         return out
+
+    def _trilinear(self, idx: np.ndarray) -> np.ndarray:
+        """Trilinear values at planar ``(3, N)`` indices in the face band.
+
+        Each point's lower corner becomes one flat index into the
+        C-ordered data; its eight corners are eight ``take``s of that index
+        from views of the flat data shifted by the constant corner strides.
+        """
+        d = self.data
+        _, ny, nz = d.shape
+        sx, sy = ny * nz, nz
+        p = np.minimum(np.maximum(idx, 0.0), self._index_max)
+        i0 = np.minimum(np.floor(p), self._index_max - 1.0)
+        fx, fy, fz = f = (p - i0).astype(np.float32)
+        gx, gy, gz = 1 - f
+        base = (np.array([sx, sy, 1.0]) @ i0).astype(np.intp)
+        flat = d.reshape(-1)
+        c00 = _lerp(flat.take(base), flat[sx:].take(base), gx, fx)
+        c10 = _lerp(flat[sy:].take(base), flat[sx + sy:].take(base), gx, fx)
+        c01 = _lerp(flat[1:].take(base), flat[sx + 1:].take(base), gx, fx)
+        c11 = _lerp(
+            flat[sy + 1:].take(base), flat[sx + sy + 1:].take(base), gx, fx
+        )
+        c0 = _lerp(c00, c10, gy, fy)
+        c1 = _lerp(c01, c11, gy, fy)
+        return _lerp(c0, c1, gz, fz)
 
     def gradient(self, points: np.ndarray, h: Optional[float] = None) -> np.ndarray:
         """Central-difference gradient of the field at ``(N, 3)`` points.
 
-        Used for shading normals.  ``h`` defaults to half a voxel.
+        Used for shading normals.  ``h`` defaults to half a voxel.  The six
+        stencil points of every input point are sampled in one batch.
         """
         pts = np.asarray(points, dtype=np.float64)
         if h is None:
             h = self._voxel * 0.5
-        grad = np.empty((len(pts), 3), dtype=np.float32)
+        n = len(pts)
+        half = self._half_size
+        # stencil[:, 2a] = index of pts + h e_a, stencil[:, 2a + 1] = of
+        # pts - h e_a; only axis a moves, so the other rows are pts' own
+        stencil = np.empty((3, 6, n))
+        stencil[:] = self._planar_index(pts)[:, None, :]
         for axis in range(3):
-            dp = np.zeros(3)
-            dp[axis] = h
-            grad[:, axis] = (self.sample(pts + dp) - self.sample(pts - dp)) / (
-                2.0 * h
+            stencil[axis, 2 * axis] = (pts[:, axis] + h + half[axis]) / self._voxel
+            stencil[axis, 2 * axis + 1] = (
+                (pts[:, axis] - h + half[axis]) / self._voxel
             )
+        vals = self._sample_index(stencil.reshape(3, -1)).reshape(6, n)
+        grad = np.empty((n, 3), dtype=np.float32)
+        for axis in range(3):
+            grad[:, axis] = (vals[2 * axis] - vals[2 * axis + 1]) / (2.0 * h)
         return grad
 
     # ------------------------------------------------------------------

@@ -29,6 +29,9 @@ __all__ = [
     "lattice_points",
 ]
 
+# voxels per block of the negHip potential sum
+_VOXEL_BLOCK = 4096
+
 
 def lattice_points(shape: Tuple[int, int, int]) -> np.ndarray:
     """World-like coordinates in [-1, 1]³ for every voxel, shape (N, 3)."""
@@ -71,10 +74,16 @@ def neg_hip(
     charges = signs * magnitudes
 
     pts = lattice_points((size, size, size))
-    # softened Coulomb: q / sqrt(r² + eps²), vectorized over all voxels
-    diff = pts[:, None, :] - centers[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    potential = (charges[None, :] / np.sqrt(r2 + softening**2)).sum(axis=1)
+    # softened Coulomb: q / sqrt(r² + eps²), vectorized over blocks of
+    # voxels so the (voxels, charges, 3) offsets never exist all at once
+    potential = np.empty(len(pts))
+    for start in range(0, len(pts), _VOXEL_BLOCK):
+        block = slice(start, start + _VOXEL_BLOCK)
+        diff = pts[block, None, :] - centers[None, :, :]
+        r2 = np.einsum("ijk,ijk->ij", diff, diff)
+        potential[block] = (
+            charges[None, :] / np.sqrt(r2 + softening**2)
+        ).sum(axis=1)
     field = potential.reshape(size, size, size)
     lo, hi = field.min(), field.max()
     field = (field - lo) / (hi - lo)

@@ -2,8 +2,9 @@
 
 The macrocell skipping contract: both paths sample the same
 ``t_near + (k + 0.5) * step`` lattice and the accelerated path only skips
-samples whose extinction is provably zero, so rendered images must agree
-to float noise (documented tolerance 1e-5; in practice they are equal).
+samples whose extinction is provably zero.  A skipped sample adds exactly
+zero colour and multiplies transmittance by exactly one, so the rendered
+images must be bit-identical.
 """
 
 from dataclasses import replace
@@ -54,7 +55,7 @@ class TestParity:
         accel, brute = pair(vol, preset(name))
         cam = orbit_camera(1.1, 0.7, radius=4.0, resolution=32)
         a, b = accel.render(cam), brute.render(cam)
-        assert float(np.abs(a - b).max()) <= 1e-5
+        np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_tfs_match(self, seed):
@@ -68,7 +69,7 @@ class TestParity:
             resolution=24,
         )
         a, b = accel.render(cam), brute.render(cam)
-        assert float(np.abs(a - b).max()) <= 1e-5
+        np.testing.assert_array_equal(a, b)
 
     def test_fully_transparent_tf(self):
         vol = neg_hip(size=20)
@@ -90,7 +91,7 @@ class TestParity:
         accel, brute = pair(vol, preset("opaque-shell"))
         cam = orbit_camera(1.6, 2.0, radius=4.0, resolution=32)
         a, b = accel.render(cam), brute.render(cam)
-        assert float(np.abs(a - b).max()) <= 1e-5
+        np.testing.assert_array_equal(a, b)
         assert accel.last_render_stats.steps < brute.last_render_stats.steps
 
     def test_empty_border_volume(self):
@@ -99,7 +100,7 @@ class TestParity:
         accel, brute = pair(vol, tf)
         cam = orbit_camera(0.9, 5.0, radius=4.0, resolution=32)
         a, b = accel.render(cam), brute.render(cam)
-        assert float(np.abs(a - b).max()) <= 1e-5
+        np.testing.assert_array_equal(a, b)
         # the empty border must actually be classified empty
         cells = accel.prepare()
         assert cells.active_fraction < 0.6
@@ -112,7 +113,7 @@ class TestParity:
         a = accel.render_with_alpha(cam)
         b = brute.render_with_alpha(cam)
         assert a.shape == (24, 24, 4)
-        assert float(np.abs(a - b).max()) <= 1e-5
+        np.testing.assert_array_equal(a, b)
 
     def test_background_composites_identically(self):
         vol = neg_hip(size=20)
@@ -120,7 +121,7 @@ class TestParity:
         accel, brute = pair(vol, preset("neghip"), settings)
         cam = orbit_camera(2.2, 3.0, radius=4.0, resolution=24)
         a, b = accel.render(cam), brute.render(cam)
-        assert float(np.abs(a - b).max()) <= 1e-5
+        np.testing.assert_array_equal(a, b)
 
 
 class TestCornerGrazing:

@@ -1,5 +1,7 @@
 """Tests for synthetic datasets and transfer functions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,17 @@ class TestNegHip:
         # extrema (0 and 1 after normalization) are near charges, not edges
         assert boundary.min() > 0.0
         assert boundary.max() < 1.0
+
+    @pytest.mark.parametrize("size, digest", [
+        # 64³ fills whole voxel blocks; 24³ ends on a partial one
+        (64, "28d06c7f1e56f8f16488bf181d750b74cd540ba3b4cc7c1249a5fe9a765b5ee1"),
+        (24, "446ccfe6b1f0085b971c2b99c6f88f2f5c21efaa94f26079525e49edb3ef2206"),
+    ])
+    def test_pinned_volume_digest(self, size, digest):
+        """The blocked potential sum reproduces the all-voxels-at-once
+        volume byte for byte (digests recorded from that form)."""
+        data = neg_hip(size=size).data
+        assert hashlib.sha256(data.tobytes()).hexdigest() == digest
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
